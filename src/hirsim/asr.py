@@ -9,6 +9,7 @@ are evaluated exactly; a brute-force path enumerator serves as the CTC oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -316,9 +317,13 @@ class ToyAsr:
         return np.stack(hiddens), emitted
 
 
+# one shared ToyAsr per (cfg, n_input_bands); forward passes never mutate it
+_model = functools.lru_cache(maxsize=8)(ToyAsr)
+
+
 def toy_forward(features: RepSequence, cfg: ToyAsrConfig) -> dict[str, RepSequence]:
     """Run the toy model; returns {'pre', 'enc', 'dec'} RepSequences."""
-    model = ToyAsr(cfg, features.dim)
+    model = _model(cfg, features.dim)
     h_pre = model.prenet(features.data.astype(np.float64))
     h_enc = model.encode(h_pre)
     h_dec, _ = model.decode_greedy(h_enc)

@@ -30,6 +30,17 @@ def logistic(x, p: LogisticParams):
     return expit(-(p.a * np.asarray(x, dtype=np.float64) + p.b))
 
 
+def _paired(pred, truth, min_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """pred and truth as float64 arrays; both finite, equal-length, >= min_n long."""
+    p = np.asarray(pred, dtype=np.float64)
+    t = np.asarray(truth, dtype=np.float64)
+    if p.shape != t.shape or p.size < min_n:
+        raise MetricError(f"need equal-length pred and truth of length >= {min_n}")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(t))):
+        raise MetricError("non-finite value in pred or truth")
+    return p, t
+
+
 def _mse(a: float, b: float, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((expit(-(a * x + b)) - y) ** 2))
 
@@ -41,10 +52,7 @@ def fit_logistic(pairs) -> LogisticParams:
     offset at each slope, then Nelder-Mead refinement from the grid winner.
     """
     pairs = list(pairs)
-    if len(pairs) < 3:
-        raise MetricError("need at least 3 pairs to fit")
-    x = np.array([p[0] for p in pairs], dtype=np.float64)
-    y = np.array([p[1] for p in pairs], dtype=np.float64)
+    x, y = _paired([p[0] for p in pairs], [p[1] for p in pairs], 3)
     if np.ptp(x) == 0.0:
         raise MetricError("raw scores are all identical; fit is degenerate")
 
@@ -63,19 +71,13 @@ def fit_logistic(pairs) -> LogisticParams:
 
 
 def rmse(pred, truth) -> float:
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(truth, dtype=np.float64)
-    if p.shape != t.shape or p.size == 0:
-        raise MetricError("pred/truth must be equal-length and nonempty")
+    p, t = _paired(pred, truth, 1)
     return float(np.sqrt(np.mean((p - t) ** 2)))
 
 
 def ncc(pred, truth) -> float:
     """Pearson correlation coefficient."""
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(truth, dtype=np.float64)
-    if p.shape != t.shape or p.size < 2:
-        raise MetricError("need equal-length lists of at least 2 points")
+    p, t = _paired(pred, truth, 2)
     dp = p - p.mean()
     dt = t - t.mean()
     denom = np.sqrt((dp ** 2).sum()) * np.sqrt((dt ** 2).sum())
@@ -86,10 +88,7 @@ def ncc(pred, truth) -> float:
 
 def kendall_tau(pred, truth, variant: str = "b") -> float:
     """Kendall rank correlation; tau-b corrects for ties, tau-a does not."""
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(truth, dtype=np.float64)
-    if p.shape != t.shape or p.size < 2:
-        raise MetricError("need equal-length lists of at least 2 points")
+    p, t = _paired(pred, truth, 2)
     # vectorized over the upper triangle of the pair matrix
     iu, ju = np.triu_indices(p.size, k=1)
     sp = np.sign(p[iu] - p[ju])
@@ -123,7 +122,8 @@ class EvalReport:
     group_truth_stderr: tuple = ()
 
     def to_dict(self) -> dict:
-        d = {"rmse": self.rmse, "ncc": self.ncc, "kt": self.kt,
+        # correlations over a single group are undefined: null in JSON
+        d = {"rmse": self.rmse, "ncc": _or_none(self.ncc), "kt": _or_none(self.kt),
              "n_trials": self.n_trials, "grouping": self.grouping}
         if self.grouping != "trial":
             d["groups"] = [
@@ -134,6 +134,10 @@ class EvalReport:
                     self.group_pred_stderr, self.group_truth_stderr)
             ]
         return d
+
+
+def _or_none(x: float) -> float | None:
+    return x if np.isfinite(x) else None
 
 
 def _stderr(vals: np.ndarray) -> float:

@@ -144,7 +144,7 @@ def _print_report(report: dict) -> None:
     for section in ("trial", "trial_raw", "listener", "system"):
         if section not in report:
             continue
-        m = report[section]
+        m = {k: float("nan") if v is None else v for k, v in report[section].items()}
         print(f"{section:>10}: RMSE {m['rmse']:.4f}  NCC {m['ncc']:.4f}  KT {m['kt']:.4f}")
 
 

@@ -6,9 +6,11 @@ All functions are pure; the same input always yields the same output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 
 from .reps import RepSequence
@@ -139,8 +141,9 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(cfg: FeatConfig, sr: int) -> np.ndarray:
-    """Triangular unit-peak mel filters, (n_mels, fft_size//2 + 1)."""
+    """Triangular unit-peak mel filters, (n_mels, fft_size//2 + 1); shared, read-only."""
     cfg.validate(sr)
     n_fft = cfg.effective_fft_size(sr)
     fmax = cfg.fmax_hz if cfg.fmax_hz is not None else sr / 2.0
@@ -157,6 +160,7 @@ def mel_filterbank(cfg: FeatConfig, sr: int) -> np.ndarray:
             raise ValueError(
                 f"mel band {k} covers no FFT bin; increase fft_size or reduce n_mels"
             )
+    fb.setflags(write=False)
     return fb
 
 
@@ -179,12 +183,7 @@ def logmel(signal_channel: np.ndarray, cfg: FeatConfig, sr: int,
     hop = cfg.hop_samples(sr)
     n_frames = frame_count(len(x), cfg, sr)
     n_fft = cfg.effective_fft_size(sr)
-    window = np.hanning(win)
-    fb = mel_filterbank(cfg, sr)
-
-    feats = np.empty((n_frames, cfg.n_mels))
-    for t in range(n_frames):
-        frame = x[t * hop:t * hop + win] * window
-        spec = np.abs(np.fft.rfft(frame, n=n_fft)) ** 2
-        feats[t] = np.log(np.maximum(fb @ spec, cfg.log_floor))
+    frames = sliding_window_view(x, win)[::hop][:n_frames] * np.hanning(win)
+    spec = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
+    feats = np.log(np.maximum(spec @ mel_filterbank(cfg, sr).T, cfg.log_floor))
     return RepSequence(data=feats, level="input", channel=channel, signal_id=signal_id)

@@ -1,18 +1,18 @@
 """End-to-end pipeline stages: featurize -> forward -> sim -> fit -> eval.
 
-Each stage reads and writes files under a cache directory, keyed by a content
-hash of its inputs and config so that reruns are idempotent and config changes
-invalidate downstream artifacts. All stages are deterministic; the only
-run-dependent output byte is a timestamp comment at the top of scores.csv.
+Representations are cached as <cache>/<key>.<level>.hrep, keyed by a content
+hash of the source bytes, channel and config: reruns are idempotent, config
+changes invalidate downstream files, and a source shared by many trials is
+computed once. All stages are deterministic, down to the output bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
-from datetime import datetime, timezone
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,32 +60,7 @@ def load_config(path) -> PipelineConfig:
 
 
 def _hash(*parts: bytes) -> str:
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(p)
-    return h.hexdigest()
-
-
-def _cache_name(signal_id: str, side: str, channel: str, level: str) -> str:
-    return f"{signal_id}__{side}__{channel}__{level}.hrep"
-
-
-def _meta_path(hrep_path: Path) -> Path:
-    return hrep_path.with_suffix(".meta.json")
-
-
-def _is_fresh(hrep_path: Path, input_hash: str) -> bool:
-    meta = _meta_path(hrep_path)
-    if not hrep_path.exists() or not meta.exists():
-        return False
-    try:
-        return json.loads(meta.read_text()).get("input_hash") == input_hash
-    except (OSError, json.JSONDecodeError):
-        return False
-
-
-def _mark_fresh(hrep_path: Path, input_hash: str) -> None:
-    _meta_path(hrep_path).write_text(json.dumps({"input_hash": input_hash}))
+    return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
 @dataclass
@@ -95,58 +70,74 @@ class StageResult:
     failures: list = field(default_factory=list)  # (signal_id, message)
 
 
-def _unique_sources(records: list[reps.TrialRecord], manifest_path) -> dict:
-    """Map (signal_id, side) -> (left_path, right_path); signals referenced by
-    multiple trials must agree on their audio paths."""
-    sources: dict[tuple, tuple] = {}
-    for rec in records:
-        for side, left, right in (("ref", rec.ref_left, rec.ref_right),
-                                  ("proc", rec.proc_left, rec.proc_right)):
-            key = (rec.signal_id, side)
-            paths = (str(reps.resolve_path(manifest_path, left)),
-                     str(reps.resolve_path(manifest_path, right)))
-            if key in sources and sources[key] != paths:
-                raise PipelineError(
-                    f"signal {rec.signal_id} ({side}) references conflicting audio paths")
-            sources[key] = paths
-    return sources
+def _input_keys(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig) -> list:
+    """Each trial's (input key, source path, channel) for its ref-left,
+    ref-right, proc-left and proc-right sources. The key is
+    sha256(sha256(file bytes) || repr(cfg.feat) || channel), or None if the
+    file cannot be read; each distinct resolved file is hashed once."""
+    feat = repr(cfg.feat).encode()
+
+    @functools.cache
+    def digest(path: Path) -> bytes | None:
+        try:
+            return hashlib.sha256(path.read_bytes()).digest()
+        except OSError:
+            return None
+
+    @functools.cache
+    def slot(ref: str, channel: str) -> tuple:
+        path = reps.resolve_path(manifest_path, ref)
+        return ((d := digest(path)) and _hash(d, feat, channel.encode()), path, channel)
+
+    return [[slot(ref, channel) for ref, channel in
+             zip((r.ref_left, r.ref_right, r.proc_left, r.proc_right), reps.CHANNELS * 2)]
+            for r in records]
+
+
+def _distinct(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig):
+    """(first trial's signal_id, key, path, channel) once per distinct input
+    key, and once per unreadable source file."""
+    first: dict = {}
+    for rec, slots in zip(records, _input_keys(records, manifest_path, cfg)):
+        for key, path, channel in slots:
+            first.setdefault(key or path, (rec.signal_id, key, path, channel))
+    return first.values()
+
+
+@functools.lru_cache(maxsize=4096)
+def _rep_path(cache: Path, input_key: str, level: str, asr_cfg: asr.ToyAsrConfig) -> Path:
+    """<cache>/<key>.<level>.hrep; the model levels key on input key + repr(asr_cfg)."""
+    key = input_key if level == "input" else _hash(input_key.encode(), repr(asr_cfg).encode())
+    return cache / f"{key}.{level}.hrep"
 
 
 def run_featurize(manifest_path, cache_dir, cfg: PipelineConfig) -> StageResult:
-    """Compute input-level .hrep files for every (signal, side, channel)."""
+    """Compute the input-level .hrep of every distinct (source bytes, channel)."""
     records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent,
                                  lenient=cfg.lenient)
     cache = Path(cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
     result = StageResult()
-    cfg_bytes = repr(cfg.feat).encode()
+    by_path: dict[Path, list] = {}
+    for signal_id, key, path, channel in _distinct(records, manifest_path, cfg):
+        by_path.setdefault(path, []).append((signal_id, key, channel))
 
-    for (signal_id, side), (left_path, right_path) in sorted(
-            _unique_sources(records, manifest_path).items()):
+    for path, uses in by_path.items():
+        signal_id = uses[0][0]
+        # an unreadable source has no key; reading it below raises the cause
+        todo = [(key, channel) for _, key, channel in uses
+                if not (key and _rep_path(cache, key, "input", cfg.asr).exists())]
+        result.skipped += len(uses) - len(todo)
+        if not todo:
+            continue
         try:
-            for channel, src in (("left", left_path), ("right", right_path)):
-                out = cache / _cache_name(signal_id, side, channel, "input")
-                if src.endswith(".hrep"):
-                    raw = Path(src).read_bytes()
-                    input_hash = _hash(raw, cfg_bytes)
-                    if _is_fresh(out, input_hash):
-                        result.skipped += 1
-                        continue
-                    rep = reps.read_reps(src)
-                    rep = reps.RepSequence(data=rep.data, level="input",
-                                           channel=channel, signal_id=signal_id)
-                else:
-                    raw = Path(src).read_bytes()
-                    input_hash = _hash(raw, cfg_bytes, channel.encode())
-                    if _is_fresh(out, input_hash):
-                        result.skipped += 1
-                        continue
-                    signal = feats.read_wav(src)
-                    rep = feats.logmel(signal.channel(channel), cfg.feat,
-                                       signal.sample_rate_hz,
-                                       signal_id=signal_id, channel=channel)
-                reps.write_reps(rep, out)
-                _mark_fresh(out, input_hash)
+            # one read per file: a stereo WAV supplies both channels
+            source = reps.read_reps(path) if path.suffix == ".hrep" else feats.read_wav(path)
+            for key, channel in todo:
+                data = (source.data if isinstance(source, reps.RepSequence) else
+                        feats.logmel(source.channel(channel), cfg.feat, source.sample_rate_hz).data)
+                reps.write_reps(reps.RepSequence(data, "input", channel, signal_id=""),
+                                _rep_path(cache, key, "input", cfg.asr))
                 result.written += 1
         except (OSError, feats.AudioError, reps.FormatError, ValueError) as e:
             result.failures.append((signal_id, str(e)))
@@ -157,38 +148,32 @@ def run_featurize(manifest_path, cache_dir, cfg: PipelineConfig) -> StageResult:
 
 def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
                 levels=("pre", "enc", "dec")) -> StageResult:
-    """Run the toy model on every input-level .hrep, writing the requested
-    hidden-representation levels."""
+    """Run the toy model on every distinct input-level .hrep, writing the
+    requested hidden-representation levels."""
     records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent,
                                  lenient=True)
     cache = Path(cache_dir)
     result = StageResult()
-    cfg_bytes = repr(cfg.asr).encode()
     levels = tuple(levels)
     for lv in levels:
         if lv not in ("pre", "enc", "dec"):
             raise PipelineError(f"forward cannot produce level {lv!r}")
 
-    for (signal_id, side) in sorted({(r.signal_id, s) for r in records
-                                     for s in ("ref", "proc")}):
-        for channel in ("left", "right"):
-            src = cache / _cache_name(signal_id, side, channel, "input")
-            if not src.exists():
-                result.failures.append((signal_id, f"missing input representation {src.name}"))
-                if not cfg.lenient:
-                    raise PipelineError(f"missing input representation {src}")
-                continue
-            raw = src.read_bytes()
-            input_hash = _hash(raw, cfg_bytes)
-            outs = {lv: cache / _cache_name(signal_id, side, channel, lv) for lv in levels}
-            if all(_is_fresh(p, input_hash) for p in outs.values()):
-                result.skipped += len(outs)
-                continue
+    for signal_id, key, path, channel in _distinct(records, manifest_path, cfg):
+        src = key and _rep_path(cache, key, "input", cfg.asr)
+        if not (src and src.exists()):
+            msg = f"missing input representation of {path} ({channel})"
+            result.failures.append((signal_id, msg))
+            if not cfg.lenient:
+                raise PipelineError(msg)
+            continue
+        todo = [lv for lv in levels if not _rep_path(cache, key, lv, cfg.asr).exists()]
+        result.skipped += len(levels) - len(todo)
+        if todo:
             hidden = asr.toy_forward(reps.read_reps(src), cfg.asr)
-            for lv, out in outs.items():
-                reps.write_reps(hidden[lv], out)
-                _mark_fresh(out, input_hash)
-                result.written += 1
+            for lv in todo:
+                reps.write_reps(hidden[lv], _rep_path(cache, key, lv, cfg.asr))
+            result.written += len(todo)
     return result
 
 
@@ -203,18 +188,17 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
     cache = Path(cache_dir)
     result = StageResult()
     rows = []
-    for rec in sorted(records, key=lambda r: (r.signal_id, r.listener_id)):
+    trials = zip(records, _input_keys(records, manifest_path, cfg))
+    for rec, slots in sorted(trials, key=lambda t: (t[0].signal_id, t[0].listener_id)):
         try:
-            pair = {}
-            for side in ("ref", "proc"):
-                chans = {}
-                for channel in ("left", "right"):
-                    p = cache / _cache_name(rec.signal_id, side, channel, cfg.level)
-                    if not p.exists():
-                        raise PipelineError(f"missing representation {p.name}")
-                    chans[channel] = reps.read_reps(p)
-                pair[side] = reps.BinauralRep(left=chans["left"], right=chans["right"])
-            score = sim.binaural_similarity(pair["ref"], pair["proc"], cfg.dtw_radius)
+            chans = []
+            for key, path, channel in slots:
+                p = key and _rep_path(cache, key, cfg.level, cfg.asr)
+                if not (p and p.exists()):
+                    raise PipelineError(f"missing {cfg.level} representation of {path} ({channel})")
+                chans.append(reps.read_reps(p))
+            score = sim.binaural_similarity(reps.BinauralRep(*chans[:2]),
+                                            reps.BinauralRep(*chans[2:]), cfg.dtw_radius)
             rows.append({
                 "signal_id": rec.signal_id, "listener_id": rec.listener_id,
                 "system_id": rec.system_id, "level": cfg.level,
@@ -229,7 +213,6 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
     scores_path = Path(scores_path)
     scores_path.parent.mkdir(parents=True, exist_ok=True)
     with scores_path.open("w", newline="") as f:
-        f.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         writer = csv.DictWriter(f, fieldnames=SCORE_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
@@ -267,7 +250,8 @@ def run_fit(scores_path, manifest_path, params_path, cfg: PipelineConfig) -> cal
             if r["split"] in splits]
     if not rows:
         raise PipelineError(f"no trials in split(s) {splits} to fit on")
-    pairs = [(r["raw_score"], r["correctness"]) for r in rows]
+    # unlabelled (NaN) rows carry no information about the mapping
+    pairs = [(r["raw_score"], r["correctness"]) for r in rows if np.isfinite(r["correctness"])]
     params = calib.fit_logistic(pairs)
     mapped = calib.logistic(np.array([p[0] for p in pairs]), params)
     fit_rmse = calib.rmse(mapped, [p[1] for p in pairs])
@@ -275,7 +259,7 @@ def run_fit(scores_path, manifest_path, params_path, cfg: PipelineConfig) -> cal
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(
         {"a": params.a, "b": params.b, "fit_rmse": fit_rmse, "n_dev": len(pairs)},
-        indent=2) + "\n")
+        indent=2, allow_nan=False) + "\n")
     return params
 
 
@@ -312,7 +296,7 @@ def run_eval(scores_path, manifest_path, params_path, out_dir,
     }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     for name, rep in (("listener", listener), ("system", system)):
         with (out / f"report_{name}.csv").open("w", newline="") as f:
             w = csv.writer(f)

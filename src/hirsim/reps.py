@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,7 +96,13 @@ def write_reps(rep: RepSequence, path) -> None:
         0, t, d, len(sid),
     )
     payload = np.ascontiguousarray(rep.data, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + sid + payload)
+    # renamed into place, so a crash or concurrent writer never leaves a torn `path`
+    tmp = Path(f"{path}.{os.urandom(8).hex()}.tmp")
+    try:
+        tmp.write_bytes(header + sid + payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_reps(path) -> RepSequence:

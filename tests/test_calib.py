@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,42 @@ class TestGroupAggregate:
         assert rep.ncc == pytest.approx(calib.ncc(pred, truth), abs=1e-12)
         assert rep.kt == pytest.approx(calib.kendall_tau(pred, truth))
 
+    def test_single_group_correlations_are_null_in_json(self):
+        rep = group_aggregate([("L1", 0.2, 0.4), ("L1", 0.4, 0.6)], "listener")
+        d = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
+        assert d["ncc"] is None and d["kt"] is None
+        assert d["rmse"] == pytest.approx(0.2)
+
     def test_unknown_grouping(self):
         with pytest.raises(MetricError):
             group_aggregate([("a", 0.1, 0.2)], "scene")
+
+
+class TestNonFiniteInput:
+    """NaN or inf in either argument is an error, never a silent result."""
+
+    def test_kendall_tau_nan_truth(self):
+        # pair counting treats every comparison with NaN as a tie: tau 1.0
+        with pytest.raises(MetricError, match="non-finite"):
+            kendall_tau([1, 2, 3, 4], [0.1, np.nan, 0.3, 0.4])
+
+    @pytest.mark.parametrize("metric", [rmse, ncc, kendall_tau])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_metrics(self, metric, bad):
+        good = [0.1, 0.5, 0.3, 0.9]
+        with pytest.raises(MetricError, match="non-finite"):
+            metric([0.2, bad, 0.4, 0.8], good)
+        with pytest.raises(MetricError, match="non-finite"):
+            metric(good, [0.2, bad, 0.4, 0.8])
+
+    def test_fit_logistic_nan_label(self):
+        # one NaN label used to make every objective NaN and return a=0, b=0
+        x = np.linspace(-1.0, 1.0, 20)
+        pairs = [(xi, yi) for xi, yi in zip(x, logistic(x, LogisticParams(-4.0, 0.5)))]
+        pairs[7] = (pairs[7][0], float("nan"))
+        with pytest.raises(MetricError, match="non-finite"):
+            fit_logistic(pairs)
+
+    def test_fit_logistic_nan_score(self):
+        with pytest.raises(MetricError, match="non-finite"):
+            fit_logistic([(0.1, 0.2), (np.nan, 0.5), (0.9, 0.8)])

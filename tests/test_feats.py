@@ -129,6 +129,29 @@ class TestLogmel:
         assert np.all(fb.sum(axis=1) > 0)
         assert np.all(fb.max(axis=1) > 0)
 
+    def test_filterbank_built_once_and_read_only(self):
+        fb = feats.mel_filterbank(self.cfg, SR)
+        assert feats.mel_filterbank(FeatConfig(), SR) is fb
+        assert not fb.flags.writeable
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+
+    @pytest.mark.parametrize("n", [400, 8000, 64000])
+    def test_matches_frame_loop_reference(self, rng, n):
+        """The framed, batched computation agrees with one FFT per frame."""
+        x = rng.normal(size=n) * 0.3
+        cfg = self.cfg
+        win, hop = cfg.window_samples(SR), cfg.hop_samples(SR)
+        window, fb = np.hanning(win), feats.mel_filterbank(cfg, SR)
+        want = np.empty((feats.frame_count(n, cfg, SR), cfg.n_mels))
+        for t in range(want.shape[0]):
+            spec = np.abs(np.fft.rfft(x[t * hop:t * hop + win] * window,
+                                      n=cfg.effective_fft_size(SR))) ** 2
+            want[t] = np.log(np.maximum(fb @ spec, cfg.log_floor))
+        got = feats.logmel(x, cfg, SR).data
+        # float32 storage; summation order may differ in the last float64 bits
+        np.testing.assert_allclose(got, want.astype(np.float32), rtol=1e-6, atol=1e-6)
+
 
 def test_invalid_configs():
     with pytest.raises(ValueError):

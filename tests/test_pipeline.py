@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hirsim import cli, pipeline, reps
+from hirsim import calib, cli, pipeline, reps
 from hirsim.pipeline import PipelineConfig
 from conftest import build_smoke_dataset, synth_speechlike, write_stereo_wav
 
@@ -43,12 +43,47 @@ class TestFeaturize:
         cfg = PipelineConfig()
         cache = tmp_path / "cache"
         res = pipeline.run_featurize(manifest, cache, cfg)
-        # 6 trials x 2 sides x 2 channels
-        assert res.written == 24
-        assert len(list(cache.glob("*__input.hrep"))) == 24
+        # 3 references + 3 noisy files, 2 channels each; each clean
+        # "processed" file is byte-identical to its reference
+        assert res.written == 12
+        assert len(list(cache.glob("*.input.hrep"))) == 12
+        assert sorted(p.name for p in cache.iterdir()) == \
+            sorted(p.name for p in cache.glob("*.input.hrep"))
         rerun = pipeline.run_featurize(manifest, cache, cfg)
         assert rerun.written == 0
-        assert rerun.skipped == 24
+        assert rerun.skipped == 12
+
+    def test_one_input_rep_per_distinct_bytes_and_channel(self, tmp_path):
+        m = self_manifest(tmp_path / "d", n=2)
+        audio = tmp_path / "d" / "audio"
+        # keys follow content, not names: a renamed copy adds nothing, and a
+        # file heard on one channel only adds one representation
+        (audio / "copy0.wav").write_bytes((audio / "clean0.wav").read_bytes())
+        write_stereo_wav(audio / "x.wav", synth_speechlike(5), synth_speechlike(6))
+        entries = json.loads(m.read_text())
+        entries[0]["proc_left"] = entries[0]["proc_right"] = "audio/copy0.wav"
+        entries[1]["proc_right"] = "audio/x.wav"
+        m.write_text(json.dumps(entries))
+        cache = tmp_path / "cache"
+        res = pipeline.run_featurize(m, cache, PipelineConfig())
+        # clean0 and clean1 on both channels, x on the right only
+        assert res.written == 5
+        assert len(list(cache.iterdir())) == 5
+
+    def test_failed_write_leaves_nothing_and_reruns(self, tmp_path, monkeypatch):
+        m = self_manifest(tmp_path / "d", n=2)
+        cache = tmp_path / "cache"
+
+        def crash(src, dst):
+            raise OSError("simulated crash before rename")
+
+        monkeypatch.setattr(reps.os, "replace", crash)
+        with pytest.raises(pipeline.PipelineError, match="simulated crash"):
+            pipeline.run_featurize(m, cache, PipelineConfig())
+        assert list(cache.iterdir()) == []
+        monkeypatch.undo()
+        res = pipeline.run_featurize(m, cache, PipelineConfig())
+        assert (res.written, res.skipped) == (4, 0)
 
     def test_missing_audio_lenient(self, tmp_path):
         m = self_manifest(tmp_path / "d")
@@ -80,8 +115,9 @@ class TestForward:
         cache = tmp_path / "cache"
         pipeline.run_featurize(manifest, cache, cfg)
         pipeline.run_forward(manifest, cache, cfg, levels=("enc",))
-        assert list(cache.glob("*__enc.hrep"))
-        assert not list(cache.glob("*__dec.hrep"))
+        assert len(list(cache.glob("*.enc.hrep"))) == 12
+        assert not list(cache.glob("*.pre.hrep"))
+        assert not list(cache.glob("*.dec.hrep"))
 
     def test_dec_lengths_may_differ(self, dataset, tmp_path):
         root, manifest = dataset
@@ -90,7 +126,9 @@ class TestForward:
         pipeline.run_featurize(manifest, cache, cfg)
         pipeline.run_forward(manifest, cache, cfg, levels=("dec",))
         # stored fine regardless of left/right length agreement
-        for p in cache.glob("*__dec.hrep"):
+        decs = list(cache.glob("*.dec.hrep"))
+        assert len(decs) == 12
+        for p in decs:
             reps.read_reps(p)
 
 
@@ -107,6 +145,72 @@ class TestSimFitEval:
         assert len(rows) == 2
         for row in rows:
             assert abs(row["raw_score"] - 1.0) < 1e-9
+
+    def test_shared_sources_score_as_in_fresh_caches(self, tmp_path):
+        m = self_manifest(tmp_path / "d", n=3)
+        audio = tmp_path / "d" / "audio"
+        entries = json.loads(m.read_text())
+        # trial 1 hears clean0/clean1 crossed; trial 2 shares clean0's
+        # reference and has a noisy processed signal
+        entries[1].update(ref_left="audio/clean0.wav", ref_right="audio/clean1.wav",
+                          proc_left="audio/clean1.wav", proc_right="audio/clean0.wav")
+        x = synth_speechlike(0)
+        noisy = x + 0.1 * np.random.default_rng(7).normal(size=len(x))
+        write_stereo_wav(audio / "noisy0.wav", noisy, 0.8 * noisy)
+        entries[2].update(ref_left="audio/clean0.wav", ref_right="audio/clean0.wav",
+                          proc_left="audio/noisy0.wav", proc_right="audio/noisy0.wav")
+        m.write_text(json.dumps(entries))
+
+        def scores(manifest, tag):
+            cfg = PipelineConfig(level="enc")
+            cache, out = tmp_path / f"cache_{tag}", tmp_path / f"scores_{tag}.csv"
+            pipeline.run_featurize(manifest, cache, cfg)
+            pipeline.run_forward(manifest, cache, cfg)
+            pipeline.run_sim(manifest, cache, out, cfg)
+            return pipeline.read_scores(out)
+
+        together = scores(m, "all")
+        assert [r["signal_id"] for r in together] == ["c0", "c1", "c2"]
+        for entry, row in zip(entries, together):
+            single = tmp_path / "d" / f"{entry['signal_id']}.json"
+            single.write_text(json.dumps([entry]))
+            (alone,) = scores(single, entry["signal_id"])
+            assert alone == row
+        assert together[2]["raw_score"] < together[0]["raw_score"]
+
+    def test_scores_csv_is_byte_deterministic(self, tmp_path):
+        m = self_manifest(tmp_path / "d")
+        cfg = PipelineConfig(level="input")
+        pipeline.run_featurize(m, tmp_path / "cache", cfg)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        pipeline.run_sim(m, tmp_path / "cache", a, cfg)
+        pipeline.run_sim(m, tmp_path / "cache", b, cfg)
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_text().startswith("signal_id,")
+
+    def test_fit_drops_unlabelled_dev_rows(self, dataset, tmp_path):
+        root, manifest = dataset
+        cfg = PipelineConfig(level="enc")
+        cache = tmp_path / "cache"
+        pipeline.run_featurize(manifest, cache, cfg)
+        pipeline.run_forward(manifest, cache, cfg, levels=("enc",))
+        scores = tmp_path / "scores.csv"
+        pipeline.run_sim(manifest, cache, scores, cfg)
+        entries = json.loads(Path(manifest).read_text())
+        dev = [e for e in entries if e["split"] == "dev"]
+        assert len(dev) == 4
+        dev[0]["correctness"] = float("nan")
+        m = tmp_path / "one_nan.json"
+        m.write_text(json.dumps(entries))
+        params_path = tmp_path / "params.json"
+        pipeline.run_fit(scores, m, params_path, cfg)
+        params = json.loads(params_path.read_text())  # strict JSON: no NaN
+        assert params["n_dev"] == 3
+        assert all(np.isfinite(params[k]) for k in ("a", "b", "fit_rmse"))
+        dev[1]["correctness"] = float("nan")
+        m.write_text(json.dumps(entries))
+        with pytest.raises(calib.MetricError):
+            pipeline.run_fit(scores, m, params_path, cfg)
 
     def test_fit_never_reads_eval_wcs(self, dataset, tmp_path):
         root, manifest = dataset
