@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
-from scipy.special import expit
+from scipy.optimize import least_squares
+from scipy.special import expit, logit
 
 
 class MetricError(Exception):
@@ -41,32 +41,64 @@ def _paired(pred, truth, min_n: int) -> tuple[np.ndarray, np.ndarray]:
     return p, t
 
 
-def _mse(a: float, b: float, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean((expit(-(a * x + b)) - y) ** 2))
+def _mse(ab: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.mean((expit(-(ab[0] * x + ab[1])) - y) ** 2))
+
+
+_GRID_SLOPES = 2.0 ** np.arange(-2.0, 9.0, 0.5)  # per standard deviation of x
+
+
+def _grid_start(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(a, b) of the best curve on a coarse grid: slopes of +-2^-2..2^8.5 per
+    standard deviation of x in half octaves, each through one data point
+    (x_i, f = y_i, clipped) or through f = 1/2 midway between neighbouring
+    points. At most 64 anchors, scored on at most 256 points spread over the
+    sorted x."""
+    order = np.argsort(x, kind="stable")
+    xs, zs, ys = x[order], z[order], y[order]
+
+    def spread(m, *arrays):
+        idx = np.linspace(0, xs.size - 1, min(m, xs.size)).round().astype(int)
+        return [v[idx] for v in arrays]
+
+    ax, az = spread(64, xs, zs)
+    ax, az = np.r_[ax, (ax[1:] + ax[:-1]) / 2], np.r_[az, np.zeros(ax.size - 1)]
+    sx, sy = spread(256, xs, ys)
+    best = (np.inf, 0.0, 0.0)
+    for slope in np.r_[-_GRID_SLOPES, _GRID_SLOPES] / x.std():
+        offsets = az - slope * ax
+        err = ((expit(-(slope * sx + offsets[:, None])) - sy) ** 2).mean(axis=1)
+        k = np.argmin(err)
+        if err[k] < best[0]:
+            best = (err[k], slope, offsets[k])
+    return np.array(best[1:])
 
 
 def fit_logistic(pairs) -> LogisticParams:
     """Least-squares fit of the logistic mapping on (raw_score, wcs) pairs.
 
-    Deterministic: coarse grid over the slope, a bounded 1-D search for the
-    offset at each slope, then Nelder-Mead refinement from the grid winner.
+    Deterministic. Levenberg-Marquardt with the analytic Jacobian refines two
+    starts and keeps the better fit: the closed form, a linear least-squares
+    fit of -logit(wcs) (clipped away from 0 and 1) on [raw_score, 1], and the
+    best curve of a coarse grid, which catches the steep local minima of small
+    noisy or binary sets.
     """
     pairs = list(pairs)
     x, y = _paired([p[0] for p in pairs], [p[1] for p in pairs], 3)
     if np.ptp(x) == 0.0:
         raise MetricError("raw scores are all identical; fit is degenerate")
 
-    best = (np.inf, 0.0, 0.0)
-    for a in np.linspace(-100.0, 0.0, 201):
-        res = minimize_scalar(lambda b: _mse(a, b, x, y), bounds=(-200.0, 200.0),
-                              method="bounded", options={"xatol": 1e-10})
-        if res.fun < best[0]:
-            best = (res.fun, a, float(res.x))
-    _, a0, b0 = best
-    refined = minimize(lambda ab: _mse(ab[0], ab[1], x, y), x0=np.array([a0, b0]),
-                       method="Nelder-Mead",
-                       options={"maxiter": 2000, "xatol": 1e-12, "fatol": 1e-16})
-    a, b = (refined.x if refined.fun <= best[0] else (a0, b0))
+    X = np.column_stack([x, np.ones_like(x)])
+    z = -logit(np.clip(y, 1e-3, 1.0 - 1e-3))
+
+    def jac(ab):
+        f = expit(-(X @ ab))
+        return -(f * (1.0 - f))[:, None] * X
+
+    fits = [least_squares(lambda ab: expit(-(X @ ab)) - y, start, jac=jac, method="lm",
+                          ftol=1e-15, xtol=1e-15, gtol=1e-15).x
+            for start in (np.linalg.lstsq(X, z, rcond=None)[0], _grid_start(x, y, z))]
+    a, b = min(fits, key=lambda ab: _mse(ab, x, y))
     return LogisticParams(a=float(a), b=float(b))
 
 
@@ -86,26 +118,62 @@ def ncc(pred, truth) -> float:
     return float((dp * dt).sum() / denom)
 
 
+def _tied_pairs(change: np.ndarray) -> int:
+    """Pairs inside the runs of a sorted sequence; change[i] marks a new value at i + 1."""
+    runs = np.diff(np.flatnonzero(np.r_[True, change, True]))
+    return int((runs * (runs - 1) // 2).sum())
+
+
+def _inversions(r: np.ndarray) -> int:
+    """Pairs i < j with r[i] > r[j], for non-negative integers r.
+
+    A most-significant-bit-first radix sort that counts as it sorts: within a
+    run of equal higher bits, each 1 that precedes a 0 is one inversion, and
+    the run is then split stably into its 0s and 1s. O(n) per bit.
+    """
+    k = np.arange(r.size)
+    swaps = 0
+    for b in reversed(range(int(r.max()).bit_length())):
+        bit = (r >> b) & 1
+        hi = r >> (b + 1)
+        bounds = np.flatnonzero(np.r_[True, hi[1:] != hi[:-1], True])
+        run = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+        ones = np.r_[0, np.cumsum(bit)]  # ones[i]: 1 bits before position i
+        before = ones[k] - ones[bounds[run]]  # 1s before k in its run
+        swaps += int(before[bit == 0].sum())
+        after = ones[bounds[run + 1]] - ones[k]  # 1s from k to the end of its run
+        pos = np.where(bit == 1, bounds[run + 1] - after, k - before)
+        sorted_r = np.empty_like(r)
+        sorted_r[pos] = r
+        r = sorted_r
+    return swaps
+
+
 def kendall_tau(pred, truth, variant: str = "b") -> float:
-    """Kendall rank correlation; tau-b corrects for ties, tau-a does not."""
+    """Kendall rank correlation; tau-b corrects for ties, tau-a does not.
+
+    Knight's O(n log n) algorithm (JASA 61(314), 1966) with exact integer
+    pair counts: sort by (pred, truth), count the ties from run lengths and
+    the discordant pairs as inversions of the sorted truth ranks.
+    """
     p, t = _paired(pred, truth, 2)
-    # vectorized over the upper triangle of the pair matrix
-    iu, ju = np.triu_indices(p.size, k=1)
-    sp = np.sign(p[iu] - p[ju])
-    st = np.sign(t[iu] - t[ju])
-    C = int(np.sum((sp * st) > 0))
-    D = int(np.sum((sp * st) < 0))
-    T_p = int(np.sum((sp == 0) & (st != 0)))
-    T_t = int(np.sum((st == 0) & (sp != 0)))
+    n0 = p.size * (p.size - 1) // 2
+    order = np.lexsort((t, p))
+    p, t = p[order], t[order]
+    new_p = p[1:] != p[:-1]
+    n1 = _tied_pairs(new_p)
+    n3 = _tied_pairs(new_p | (t[1:] != t[:-1]))
+    _, rank, counts = np.unique(t, return_inverse=True, return_counts=True)
+    n2 = int((counts * (counts - 1) // 2).sum())
+    C_minus_D = n0 - n1 - n2 + n3 - 2 * _inversions(rank)
     if variant == "a":
-        n = p.size
-        return (C - D) / (n * (n - 1) / 2)
+        return C_minus_D / n0
     if variant != "b":
         raise ValueError(f"unknown tau variant {variant!r}")
-    denom_sq = (C + D + T_p) * (C + D + T_t)
+    denom_sq = (n0 - n1) * (n0 - n2)
     if denom_sq == 0:
         raise MetricError("all pairs tied in pred or truth")
-    return (C - D) / np.sqrt(denom_sq)
+    return C_minus_D / np.sqrt(float(denom_sq))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import csv
 import functools
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -181,29 +182,59 @@ SCORE_FIELDS = ("signal_id", "listener_id", "system_id", "level",
                 "raw_score", "zero_norm_frames")
 
 
+class _UntilLastUse:
+    """Values computed on first use and dropped after their last counted use."""
+
+    def __init__(self, keys):
+        self.left = Counter(keys)
+        self.held: dict = {}
+
+    def get(self, key, compute):
+        value = self.held.pop(key) if key in self.held else compute()
+        self.left[key] -= 1
+        if self.left[key] > 0:
+            self.held[key] = value
+        return value
+
+
 def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> StageResult:
-    """Score every trial at the configured level and write scores.csv."""
+    """Score every trial at the configured level and write scores.csv.
+
+    Each distinct .hrep is read once and each distinct (ref, proc) tuple of
+    four input keys is scored once; both are held only until their last use.
+    """
     records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent,
                                  lenient=True)
     cache = Path(cache_dir)
     result = StageResult()
     rows = []
-    trials = zip(records, _input_keys(records, manifest_path, cfg))
-    for rec, slots in sorted(trials, key=lambda t: (t[0].signal_id, t[0].listener_id)):
+    trials = sorted(zip(records, _input_keys(records, manifest_path, cfg)),
+                    key=lambda t: (t[0].signal_id, t[0].listener_id))
+    # a source is known by its input key; an unreadable one, which has none, by its slot
+    ids = [tuple(slot[0] or slot for slot in slots) for _, slots in trials]
+    scores = _UntilLastUse(ids)
+    loaded = _UntilLastUse(i for pairing in set(ids) for i in pairing)
+
+    def load(slot):
+        key, path, channel = slot
+        p = key and _rep_path(cache, key, cfg.level, cfg.asr)
+        if not (p and p.exists()):
+            raise PipelineError(f"missing {cfg.level} representation of {path} ({channel})")
+        return reps.read_reps(p)
+
+    def score(slots):
+        chans = [loaded.get(slot[0] or slot, functools.partial(load, slot)) for slot in slots]
+        return sim.binaural_similarity(reps.BinauralRep(*chans[:2]),
+                                       reps.BinauralRep(*chans[2:]), cfg.dtw_radius)
+
+    for (rec, slots), pairing in zip(trials, ids):
         try:
-            chans = []
-            for key, path, channel in slots:
-                p = key and _rep_path(cache, key, cfg.level, cfg.asr)
-                if not (p and p.exists()):
-                    raise PipelineError(f"missing {cfg.level} representation of {path} ({channel})")
-                chans.append(reps.read_reps(p))
-            score = sim.binaural_similarity(reps.BinauralRep(*chans[:2]),
-                                            reps.BinauralRep(*chans[2:]), cfg.dtw_radius)
+            value = scores.get(pairing, functools.partial(score, slots))
             rows.append({
                 "signal_id": rec.signal_id, "listener_id": rec.listener_id,
                 "system_id": rec.system_id, "level": cfg.level,
-                "raw_score": f"{score.value:.12g}",
-                "zero_norm_frames": score.zero_norm_frames,
+                "raw_score": f"{value.value:.12g}",
+                "zero_norm_frames": value.zero_norm_frames,
             })
         except (PipelineError, reps.FormatError, sim.SimilarityError) as e:
             result.failures.append((rec.signal_id, str(e)))
@@ -258,7 +289,8 @@ def run_fit(scores_path, manifest_path, params_path, cfg: PipelineConfig) -> cal
     out = Path(params_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(
-        {"a": params.a, "b": params.b, "fit_rmse": fit_rmse, "n_dev": len(pairs)},
+        {"a": params.a, "b": params.b, "fit_rmse": fit_rmse, "n_dev": len(pairs),
+         "n_dropped": len(rows) - len(pairs)},
         indent=2, allow_nan=False) + "\n")
     return params
 

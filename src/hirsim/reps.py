@@ -165,8 +165,9 @@ def load_manifest(path, wcs_percent: bool = False, lenient: bool = False) -> lis
     """Load and validate a JSON trial manifest.
 
     With wcs_percent, correctness values on a 0-100 scale are divided by 100.
-    In lenient mode missing referenced files are reported, not fatal; strict
-    mode raises on the first missing path.
+    Strict mode checks that each distinct referenced path exists, once, and
+    raises on the first missing one; lenient mode does not check (the stages
+    report unreadable files when they read them).
     """
     try:
         entries = json.loads(Path(path).read_text())
@@ -178,7 +179,6 @@ def load_manifest(path, wcs_percent: bool = False, lenient: bool = False) -> lis
     base = Path(path).parent
     records = []
     seen = set()
-    missing = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise FormatError(f"{path}: entry {i} is not an object")
@@ -206,14 +206,16 @@ def load_manifest(path, wcs_percent: bool = False, lenient: bool = False) -> lis
         if key in seen:
             raise FormatError(f"{path}: duplicate (signal_id, listener_id) pair {key}")
         seen.add(key)
-        for p in (rec.ref_left, rec.ref_right, rec.proc_left, rec.proc_right):
-            if not (base / p).exists() and not Path(p).exists():
-                missing.append((rec.signal_id, p))
         records.append(rec)
 
-    if missing and not lenient:
-        sig, p = missing[0]
-        raise FormatError(f"{path}: trial {sig} references missing file {p}")
+    if not lenient:
+        exists: dict[str, bool] = {}
+        for rec in records:
+            for p in (rec.ref_left, rec.ref_right, rec.proc_left, rec.proc_right):
+                if p not in exists:
+                    exists[p] = (base / p).exists() or Path(p).exists()
+                if not exists[p]:
+                    raise FormatError(f"{path}: trial {rec.signal_id} references missing file {p}")
     return records
 
 

@@ -2,6 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize, minimize_scalar
+from scipy.special import expit
 
 from hirsim import calib
 from hirsim.calib import (
@@ -35,6 +39,50 @@ def tau_b_pair_counting(pred, truth):
             else:
                 D += 1
     return (C - D) / np.sqrt((C + D + T_p) * (C + D + T_t))
+
+
+def _mse(a, b, x, y):
+    return float(np.mean((expit(-(a * x + b)) - y) ** 2))
+
+
+def fit_logistic_grid(pairs):
+    """Slow oracle for fit_logistic: a 201-point grid over the slope, a bounded
+    1-D search for the offset at each slope, then Nelder-Mead refinement from
+    the grid winner."""
+    x = np.array([p[0] for p in pairs], dtype=np.float64)
+    y = np.array([p[1] for p in pairs], dtype=np.float64)
+    best = (np.inf, 0.0, 0.0)
+    for a in np.linspace(-100.0, 0.0, 201):
+        res = minimize_scalar(lambda b: _mse(a, b, x, y), bounds=(-200.0, 200.0),
+                              method="bounded", options={"xatol": 1e-10})
+        if res.fun < best[0]:
+            best = (res.fun, a, float(res.x))
+    _, a0, b0 = best
+    refined = minimize(lambda ab: _mse(ab[0], ab[1], x, y), x0=np.array([a0, b0]),
+                       method="Nelder-Mead",
+                       options={"maxiter": 2000, "xatol": 1e-12, "fatol": 1e-16})
+    a, b = (refined.x if refined.fun <= best[0] else (a0, b0))
+    return LogisticParams(a=float(a), b=float(b))
+
+
+@st.composite
+def calibration_sets(draw):
+    """(raw score, wcs) sets: noiseless, noisy, uniform or binary labels."""
+    n = draw(st.integers(3, 30))
+    x = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    assume(np.ptp(x) > 1e-3)
+    kind = draw(st.sampled_from(["noiseless", "noisy", "uniform", "binary"]))
+    if kind == "uniform":
+        y = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    elif kind == "binary":
+        y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    else:
+        a = draw(st.floats(-30.0, 0.0))
+        y = logistic(x, LogisticParams(a, -a * draw(st.floats(0.0, 1.0))))
+        if kind == "noisy":
+            seed = draw(st.integers(0, 2 ** 32 - 1))
+            y = np.clip(y + np.random.default_rng(seed).normal(0.0, 0.1, n), 0.0, 1.0)
+    return list(zip(x, y))
 
 
 class TestLogistic:
@@ -109,6 +157,20 @@ class TestFitLogistic:
             probe = rmse(logistic(xs, LogisticParams(a, b)), ys)
             assert best <= probe + 1e-9
 
+    @settings(max_examples=40, deadline=None)
+    @given(calibration_sets())
+    def test_mse_no_worse_than_grid_oracle(self, pairs):
+        x, y = np.array(pairs).T
+        fast, slow = fit_logistic(pairs), fit_logistic_grid(pairs)
+        assert _mse(fast.a, fast.b, x, y) <= _mse(slow.a, slow.b, x, y) + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(calibration_sets())
+    def test_fitted_mapping_is_monotone(self, pairs):
+        fitted = fit_logistic(pairs)
+        steps = np.diff(logistic(np.sort([p[0] for p in pairs]), fitted))
+        assert np.all(steps >= 0.0) or np.all(steps <= 0.0)
+
 
 class TestRmse:
     def test_zero_on_equal(self, rng):
@@ -181,6 +243,28 @@ class TestKendallTau:
             except MetricError:
                 continue
             assert got == tau_b_pair_counting(pred, truth)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=60),
+           st.sampled_from([1.0, -0.5, 1e-3]))
+    def test_tie_heavy_draws_match_oracle_bit_for_bit(self, pts, scale):
+        pred = [scale * p for p, _ in pts]
+        truth = [float(t) for _, t in pts]
+        if len(set(pred)) == 1 or len(set(truth)) == 1:
+            with pytest.raises(MetricError):
+                kendall_tau(pred, truth)
+        else:
+            assert kendall_tau(pred, truth) == tau_b_pair_counting(pred, truth)
+
+    def test_large_n_matches_scipy(self, rng):
+        from scipy import stats  # local: importing scipy.stats is slow
+        n = 50_000
+        pred = rng.normal(size=n).round(2)
+        truth = rng.integers(0, 100, n).astype(float)
+        want = stats.kendalltau(pred, truth).statistic
+        assert abs(kendall_tau(pred, truth) - want) <= 1e-12
+        assert kendall_tau(pred, pred) == 1.0
+        assert kendall_tau(np.arange(n), np.arange(n)[::-1], variant="a") == -1.0
 
     def test_monotone_transform_invariance(self, rng):
         x = rng.normal(size=25)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hirsim import calib, cli, pipeline, reps
+from hirsim import calib, cli, pipeline, reps, sim
 from hirsim.pipeline import PipelineConfig
 from conftest import build_smoke_dataset, synth_speechlike, write_stereo_wav
 
@@ -178,6 +178,37 @@ class TestSimFitEval:
             assert alone == row
         assert together[2]["raw_score"] < together[0]["raw_score"]
 
+    def test_each_distinct_rep_read_and_each_pairing_scored_once(self, tmp_path, monkeypatch):
+        m = self_manifest(tmp_path / "d")
+        entries = json.loads(m.read_text())
+        # a second listener for each signal, a trial crossing clean0 with
+        # clean1, and one whose reference is a byte-identical copy of clean0
+        entries += [dict(e, listener_id="L9") for e in entries]
+        entries.append(dict(entries[0], signal_id="x",
+                            proc_left="audio/clean1.wav", proc_right="audio/clean1.wav"))
+        audio = tmp_path / "d" / "audio"
+        (audio / "copy0.wav").write_bytes((audio / "clean0.wav").read_bytes())
+        entries.append(dict(entries[0], signal_id="y",
+                            ref_left="audio/copy0.wav", ref_right="audio/copy0.wav"))
+        m.write_text(json.dumps(entries))
+        cfg = PipelineConfig(level="input")
+        pipeline.run_featurize(m, tmp_path / "cache", cfg)
+        read, scored = [], []
+        read_reps, similarity = reps.read_reps, sim.binaural_similarity
+        monkeypatch.setattr(reps, "read_reps", lambda p: read.append(p) or read_reps(p))
+        monkeypatch.setattr(sim, "binaural_similarity",
+                            lambda *a: scored.append(a) or similarity(*a))
+        out = tmp_path / "scores.csv"
+        pipeline.run_sim(m, tmp_path / "cache", out, cfg)
+        # clean0 and clean1, two channels each; pairings c0 (= y), c1 and x
+        assert len(read) == len(set(read)) == 4
+        assert len(scored) == 3
+        rows = pipeline.read_scores(out)
+        assert [(r["signal_id"], r["listener_id"]) for r in rows] == [
+            ("c0", "L0"), ("c0", "L9"), ("c1", "L1"), ("c1", "L9"), ("x", "L0"), ("y", "L0")]
+        assert rows[0]["raw_score"] == rows[1]["raw_score"] == rows[5]["raw_score"]
+        assert rows[4]["raw_score"] < rows[0]["raw_score"]
+
     def test_scores_csv_is_byte_deterministic(self, tmp_path):
         m = self_manifest(tmp_path / "d")
         cfg = PipelineConfig(level="input")
@@ -205,7 +236,7 @@ class TestSimFitEval:
         params_path = tmp_path / "params.json"
         pipeline.run_fit(scores, m, params_path, cfg)
         params = json.loads(params_path.read_text())  # strict JSON: no NaN
-        assert params["n_dev"] == 3
+        assert (params["n_dev"], params["n_dropped"]) == (3, 1)
         assert all(np.isfinite(params[k]) for k in ("a", "b", "fit_rmse"))
         dev[1]["correctness"] = float("nan")
         m.write_text(json.dumps(entries))
@@ -231,8 +262,9 @@ class TestSimFitEval:
         # dev split of this tiny dataset is small but sufficient
         pipeline.run_fit(scores, poisoned, params_path, cfg)
         params = json.loads(params_path.read_text())
-        assert set(params) == {"a", "b", "fit_rmse", "n_dev"}
+        assert set(params) == {"a", "b", "fit_rmse", "n_dev", "n_dropped"}
         assert np.isfinite(params["a"]) and np.isfinite(params["b"])
+        assert (params["n_dev"], params["n_dropped"]) == (4, 0)
 
     def test_eval_reports(self, dataset, tmp_path):
         root, manifest = dataset

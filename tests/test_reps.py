@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -144,6 +145,25 @@ class TestManifest:
             load_manifest(p)
         recs = load_manifest(p, lenient=True)
         assert len(recs) == 1
+
+    def test_existence_checked_once_per_path_and_only_when_strict(self, tmp_path, monkeypatch):
+        entries = [_entry(i) for i in range(5)] + [_entry(5, proc_left="gone.wav")]
+        p = _write_manifest(tmp_path, entries)
+        stat, stats = os.stat, []
+
+        def counting_stat(path, *args, **kwargs):
+            stats.append(str(path))
+            return stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        recs = load_manifest(p, lenient=True)
+        assert stats == []
+        assert [r.signal_id for r in recs] == [f"s{i}" for i in range(6)]
+        with pytest.raises(FormatError, match="trial s5 references missing file gone.wav"):
+            load_manifest(p)
+        # found beside the manifest, or looked for there and then as given
+        assert sorted(stats) == sorted(
+            [str(tmp_path / "r.wav"), str(tmp_path / "p.wav"), str(tmp_path / "gone.wav"), "gone.wav"])
 
     def test_missing_key(self, tmp_path):
         e = _entry(0)
