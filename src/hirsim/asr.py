@@ -64,34 +64,30 @@ def causal_mask(n: int) -> np.ndarray:
 
 
 def scaled_dot_attention(Q, K, V, mask=None) -> np.ndarray:
-    """softmax(Q K^T / sqrt(d_k)) V with optional boolean allow-mask."""
+    """softmax(Q K^T / sqrt(d_k)) V with optional boolean allow-mask, per leading index (head)."""
     Q = np.asarray(Q, dtype=np.float64)
     K = np.asarray(K, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
-    if Q.shape[1] != K.shape[1] or K.shape[0] != V.shape[0]:
+    if Q.shape[-1] != K.shape[-1] or K.shape[-2] != V.shape[-2]:
         raise ValueError("incompatible attention shapes")
     if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(K)) and np.all(np.isfinite(V))):
         raise ValueError("non-finite attention inputs")
-    scores = (Q @ K.T) / math.sqrt(Q.shape[1])
+    scores = (Q @ np.swapaxes(K, -1, -2)) / math.sqrt(Q.shape[-1])
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != scores.shape:
+        if mask.shape != scores.shape[-2:]:
             raise ValueError("mask shape mismatch")
-        if not mask.any(axis=1).all():
+        if not mask.any(axis=-1).all():
             raise ValueError("some query position has every key masked")
         scores = np.where(mask, scores, -np.inf)
     # max-subtraction keeps exp in range; masked entries get weight exactly 0
-    w = np.exp(scores - scores.max(axis=1, keepdims=True))
-    w /= w.sum(axis=1, keepdims=True)
+    w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
     return w @ V
 
 
 @dataclass(frozen=True)
 class AttentionParams:
-    n_heads: int
-    d_model: int
-    d_k: int
-    d_v: int
     W_q: np.ndarray  # (n_heads, d_model, d_k)
     W_k: np.ndarray  # (n_heads, d_model, d_k)
     W_v: np.ndarray  # (n_heads, d_model, d_v)
@@ -109,19 +105,17 @@ class AttentionParams:
         W_v = np.stack([det_weight(_name_tag(seed_tag, f"{name}.v{h}"), d_model, d_v)
                         for h in range(n_heads)])
         W_o = det_weight(_name_tag(seed_tag, f"{name}.o"), n_heads * d_v, d_model)
-        return cls(n_heads, d_model, d_k, d_v, W_q, W_k, W_v, W_o)
+        return cls(W_q, W_k, W_v, W_o)
 
 
 def multi_head_attention(X_q, X_kv, params: AttentionParams, mask=None) -> np.ndarray:
+    """All heads in one attention call; their outputs are concatenated before W_o."""
     X_q = np.asarray(X_q, dtype=np.float64)
     X_kv = np.asarray(X_kv, dtype=np.float64)
-    if X_q.shape[1] != params.d_model or X_kv.shape[1] != params.d_model:
+    if X_q.shape[1] != params.W_q.shape[1] or X_kv.shape[1] != params.W_q.shape[1]:
         raise ValueError("input width must equal d_model")
-    heads = []
-    for h in range(params.n_heads):
-        heads.append(scaled_dot_attention(
-            X_q @ params.W_q[h], X_kv @ params.W_k[h], X_kv @ params.W_v[h], mask))
-    return np.concatenate(heads, axis=1) @ params.W_o
+    heads = scaled_dot_attention(X_q @ params.W_q, X_kv @ params.W_k, X_kv @ params.W_v, mask)
+    return heads.transpose(1, 0, 2).reshape(X_q.shape[0], -1) @ params.W_o
 
 
 def layer_norm(X, eps: float = 1e-12) -> np.ndarray:
@@ -299,8 +293,9 @@ class ToyAsr:
         tokens = [0]  # start symbol
         hiddens: list[np.ndarray] = []
         emitted: list[int] = []
+        pe = positional_encoding(cfg.max_decode_len, cfg.d_model)
         for _ in range(cfg.max_decode_len):
-            Y = self.embed[tokens] + positional_encoding(len(tokens), cfg.d_model)
+            Y = self.embed[tokens] + pe[:len(tokens)]
             for block in self.dec_blocks:
                 Y = decoder_block_forward(Y, enc_out, block)
             h_last = Y[-1]

@@ -91,8 +91,8 @@ def _require_manifest(args) -> str:
     return args.manifest
 
 
-def _report_stage(name: str, result: pipeline.StageResult) -> int:
-    print(f"{name}: {result.written} written, {result.skipped} up to date, "
+def _report_stage(name: str, result: pipeline.StageResult, summary: str | None = None) -> int:
+    print(summary or f"{name}: {result.written} written, {result.skipped} up to date, "
           f"{len(result.failures)} failed")
     for sid, msg in result.failures:
         print(f"  FAILED {sid}: {msg}", file=sys.stderr)
@@ -114,8 +114,7 @@ def main(argv=None) -> int:
         if args.command == "sim":
             res = pipeline.run_sim(_require_manifest(args), args.cache_dir,
                                    args.scores, cfg)
-            print(f"sim: {res.written} trials scored -> {args.scores}")
-            return EXIT_DATA if res.failures else EXIT_OK
+            return _report_stage("sim", res, f"sim: {res.written} trials scored -> {args.scores}")
         if args.command == "fit":
             params = pipeline.run_fit(args.scores, _require_manifest(args),
                                       args.params, cfg)

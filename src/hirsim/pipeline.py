@@ -50,10 +50,7 @@ def load_config(path) -> PipelineConfig:
     if "feat" in raw:
         kwargs["feat"] = feats.FeatConfig(**raw["feat"])
     if "asr" in raw:
-        a = dict(raw["asr"])
-        if "prenet_channels" in a:
-            a["prenet_channels"] = tuple(a["prenet_channels"])
-        kwargs["asr"] = asr.ToyAsrConfig(**a)
+        kwargs["asr"] = asr.ToyAsrConfig(**raw["asr"])
     for key in ("level", "dtw_radius", "fit_split", "wcs_percent", "lenient"):
         if key in raw:
             kwargs[key] = raw[key]
@@ -306,6 +303,11 @@ def run_eval(scores_path, manifest_path, params_path, out_dir,
             if r["split"] == "eval"]
     if not rows:
         raise PipelineError("eval split is empty")
+    # unlabelled (NaN) trials have nothing to be scored against
+    labelled = [r for r in rows if np.isfinite(r["correctness"])]
+    if not labelled:
+        raise PipelineError(f"none of the {len(rows)} eval trials is labelled")
+    n_dropped, rows = len(rows) - len(labelled), labelled
 
     raw = np.array([r["raw_score"] for r in rows])
     truth = np.array([r["correctness"] for r in rows])
@@ -325,6 +327,7 @@ def run_eval(scores_path, manifest_path, params_path, out_dir,
                       "kt": calib.kendall_tau(raw, truth)},
         "listener": listener.to_dict(),
         "system": system.to_dict(),
+        "n_dropped": n_dropped,
     }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -176,7 +176,6 @@ def load_manifest(path, wcs_percent: bool = False, lenient: bool = False) -> lis
     if not isinstance(entries, list):
         raise FormatError(f"{path}: manifest must be a JSON array")
 
-    base = Path(path).parent
     records = []
     seen = set()
     for i, entry in enumerate(entries):
@@ -185,7 +184,10 @@ def load_manifest(path, wcs_percent: bool = False, lenient: bool = False) -> lis
         for key in _REQUIRED_KEYS:
             if key not in entry:
                 raise FormatError(f"{path}: entry {i} missing key {key!r}")
-        wcs = float(entry["correctness"])
+        wcs = entry["correctness"]
+        if wcs is not None and (isinstance(wcs, bool) or not isinstance(wcs, (int, float))):
+            raise FormatError(f"{path}: entry {i}: correctness {wcs!r} is not a number")
+        wcs = math.nan if wcs is None else float(wcs)  # strict JSON has no NaN: null is unknown
         if wcs_percent:
             wcs /= 100.0
         try:
@@ -213,13 +215,17 @@ def load_manifest(path, wcs_percent: bool = False, lenient: bool = False) -> lis
         for rec in records:
             for p in (rec.ref_left, rec.ref_right, rec.proc_left, rec.proc_right):
                 if p not in exists:
-                    exists[p] = (base / p).exists() or Path(p).exists()
+                    exists[p] = _locate(path, p) is not None
                 if not exists[p]:
                     raise FormatError(f"{path}: trial {rec.signal_id} references missing file {p}")
     return records
 
 
+def _locate(manifest_path, ref: str) -> Path | None:
+    """The first of <manifest dir>/ref and ref that exists, or None."""
+    return next((p for p in (Path(manifest_path).parent / ref, Path(ref)) if p.exists()), None)
+
+
 def resolve_path(manifest_path, ref: str) -> Path:
     """Resolve a manifest-relative path, falling back to the raw path."""
-    cand = Path(manifest_path).parent / ref
-    return cand if cand.exists() else Path(ref)
+    return _locate(manifest_path, ref) or Path(ref)

@@ -70,12 +70,12 @@ def cosine(h: np.ndarray, h_hat: np.ndarray) -> float:
 
 
 def _cosine_rows(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, int]:
-    """Row-by-row cosines of two T x d matrices; counts zero-norm frames."""
-    na = np.linalg.norm(A, axis=1)
-    nb = np.linalg.norm(B, axis=1)
+    """Row-by-row cosines of two (..., T, d) stacks; counts zero-norm frames."""
+    na = np.linalg.norm(A, axis=-1)
+    nb = np.linalg.norm(B, axis=-1)
     zero = (na < ZERO_NORM_EPS) | (nb < ZERO_NORM_EPS)
     denom = np.where(zero, 1.0, na * nb)
-    vals = np.where(zero, 0.0, np.einsum("td,td->t", A, B) / denom)
+    vals = np.where(zero, 0.0, np.einsum("...d,...d->...", A, B) / denom)
     return vals, int(zero.sum())
 
 
@@ -97,15 +97,10 @@ def framewise_binaural_sim(ref: BinauralRep, proc: BinauralRep) -> SimilaritySco
     if ref.left.dim != proc.left.dim:
         raise SimilarityError("representation dimensions differ")
     T = _reconcile_lengths(ref.left.n_frames, proc.left.n_frames)
-    zero = 0
-    per_pair = []
-    for a in (ref.left, ref.right):
-        for b in (proc.left, proc.right):
-            vals, z = _cosine_rows(a.data[:T].astype(np.float64), b.data[:T].astype(np.float64))
-            per_pair.append(vals)
-            zero += z
-    best = np.maximum.reduce(per_pair)
-    return SimilarityScore(value=float(best.mean()), level=ref.level, zero_norm_frames=zero)
+    A, B = (np.stack([r.left.data[:T], r.right.data[:T]]).astype(np.float64) for r in (ref, proc))
+    vals, zero = _cosine_rows(A[:, None], B[None])  # (ref channel, proc channel, frame)
+    return SimilarityScore(value=float(vals.max(axis=(0, 1)).mean()), level=ref.level,
+                           zero_norm_frames=zero)
 
 
 # ---------------------------------------------------------------------------

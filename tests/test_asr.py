@@ -83,7 +83,7 @@ class TestMultiHead:
     def test_single_head_identity_projections(self, rng):
         d = 4
         eye = np.eye(d)[None]
-        params = AttentionParams(1, d, d, d, eye, eye, eye, np.eye(d))
+        params = AttentionParams(eye, eye, eye, np.eye(d))
         X = rng.normal(size=(5, d))
         assert np.allclose(multi_head_attention(X, X, params),
                            scaled_dot_attention(X, X, X), atol=1e-12)
@@ -99,13 +99,65 @@ class TestMultiHead:
         Wk = rng.normal(size=(d, dk))
         Wv = rng.normal(size=(d, dk))
         Wo = rng.normal(size=(dk, d))
-        one = AttentionParams(1, d, dk, dk, Wq[None], Wk[None], Wv[None], Wo)
-        two = AttentionParams(2, d, dk, dk,
-                              np.stack([Wq, Wq]), np.stack([Wk, Wk]), np.stack([Wv, Wv]),
+        one = AttentionParams(Wq[None], Wk[None], Wv[None], Wo)
+        two = AttentionParams(np.stack([Wq, Wq]), np.stack([Wk, Wk]), np.stack([Wv, Wv]),
                               np.vstack([Wo / 2, Wo / 2]))
         X = rng.normal(size=(5, d))
         assert np.allclose(multi_head_attention(X, X, one),
                            multi_head_attention(X, X, two), atol=1e-12)
+
+
+def multi_head_attention_loop(X_q, X_kv, params, mask=None):
+    """Reference: one scaled_dot_attention call per head, then concatenate."""
+    heads = [scaled_dot_attention(X_q @ params.W_q[h], X_kv @ params.W_k[h],
+                                  X_kv @ params.W_v[h], mask)
+             for h in range(params.W_q.shape[0])]
+    return np.concatenate(heads, axis=1) @ params.W_o
+
+
+class TestBatchedHeads:
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_self_attention_equals_per_head_loop(self, rng, n_heads, masked):
+        params = AttentionParams.from_seed(5, "b", n_heads=n_heads, d_model=16)
+        X = rng.normal(size=(9, 16))
+        mask = causal_mask(9) if masked else None
+        assert np.array_equal(multi_head_attention(X, X, params, mask),
+                              multi_head_attention_loop(X, X, params, mask))
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_cross_attention_equals_per_head_loop(self, rng, n_heads):
+        params = AttentionParams.from_seed(6, "c", n_heads=n_heads, d_model=16)
+        Y, enc = rng.normal(size=(3, 16)), rng.normal(size=(11, 16))
+        out = multi_head_attention(Y, enc, params)
+        assert out.shape == (3, 16)
+        assert np.array_equal(out, multi_head_attention_loop(Y, enc, params))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_stacked_attention_equals_per_slice_calls(self, rng, masked):
+        Q, K, V = rng.normal(size=(4, 6, 5)), rng.normal(size=(4, 6, 5)), rng.normal(size=(4, 6, 3))
+        mask = causal_mask(6) if masked else None
+        out = scaled_dot_attention(Q, K, V, mask)
+        assert out.shape == (4, 6, 3)
+        for h in range(4):
+            assert np.array_equal(out[h], scaled_dot_attention(Q[h], K[h], V[h], mask))
+
+    def test_stacked_attention_checks(self, rng):
+        Q = rng.normal(size=(2, 3, 4))
+        with pytest.raises(ValueError, match="mask shape"):
+            scaled_dot_attention(Q, Q, Q, np.ones((2, 3, 3), dtype=bool))
+        with pytest.raises(ValueError, match="every key masked"):
+            scaled_dot_attention(Q, Q, Q, np.eye(3, dtype=bool) & [True, True, False])
+        with pytest.raises(ValueError, match="incompatible"):
+            scaled_dot_attention(Q, Q[:, :2], Q)
+        Q[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            scaled_dot_attention(Q, Q, Q)
+
+    def test_positional_encoding_prefix_is_bit_identical(self):
+        full = asr.positional_encoding(16, 64)
+        for n in range(1, 17):
+            assert np.array_equal(asr.positional_encoding(n, 64), full[:n])
 
 
 class TestCausalMask:
@@ -128,7 +180,7 @@ class TestBlocks:
     def test_zero_weights_reduce_to_layer_norm(self, rng):
         d = 8
         z = np.zeros((1, d, d))
-        attn = AttentionParams(1, d, d, d, z, z, z, np.zeros((d, d)))
+        attn = AttentionParams(z, z, z, np.zeros((d, d)))
         ffn = FeedForwardParams(np.zeros((d, d)), np.zeros(d), np.zeros((d, d)), np.zeros(d))
         X = rng.normal(size=(5, d))
         out = asr.encoder_block_forward(X, EncoderBlockParams(attn, ffn))

@@ -285,6 +285,55 @@ class TestSimFitEval:
             assert {"id", "pred_mean", "truth_mean", "pred_stderr", "truth_stderr"} \
                 <= set(g)
 
+    @pytest.fixture(scope="class")
+    def eval_run(self, tmp_path_factory):
+        """A 12-trial smoke set (6 eval) scored at enc, with fitted params."""
+        root = tmp_path_factory.mktemp("eval")
+        manifest = build_smoke_dataset(root / "data", n_signals=4, snrs=(np.inf, 0.0, -5.0))
+        cfg = PipelineConfig(level="enc")
+        pipeline.run_featurize(manifest, root / "cache", cfg)
+        pipeline.run_forward(manifest, root / "cache", cfg, levels=("enc",))
+        pipeline.run_sim(manifest, root / "cache", root / "scores.csv", cfg)
+        pipeline.run_fit(root / "scores.csv", manifest, root / "params.json", cfg)
+        return manifest, root / "scores.csv", root / "params.json", cfg
+
+    def test_eval_leaves_unlabelled_trials_out(self, eval_run, tmp_path):
+        manifest, scores, params, cfg = eval_run
+        entries = json.loads(Path(manifest).read_text())
+        unlabelled = {"s02n0", "s03n1"}
+        assert sum(e["split"] == "eval" for e in entries) == 6
+        for e in entries:
+            if e["signal_id"] in unlabelled:
+                e["correctness"] = None if e["signal_id"] == "s02n0" else float("nan")
+        partly = tmp_path / "partly.json"
+        partly.write_text(json.dumps(entries))
+        report = pipeline.run_eval(scores, partly, params, tmp_path / "partly", cfg)
+        assert report["n_dropped"] == 2
+        # the same as evaluating a manifest and scores file without those trials
+        only = tmp_path / "labelled.json"
+        only.write_text(json.dumps([e for e in entries if e["signal_id"] not in unlabelled]))
+        lines = Path(scores).read_text().splitlines(keepends=True)
+        kept = tmp_path / "kept.csv"
+        kept.write_text("".join(ln for ln in lines if ln.split(",")[0] not in unlabelled))
+        expect = pipeline.run_eval(kept, only, params, tmp_path / "labelled", cfg)
+        assert expect["n_dropped"] == 0
+        assert {**report, "n_dropped": 0} == expect
+        for name in ("report_listener.csv", "report_system.csv"):
+            assert (tmp_path / "partly" / name).read_bytes() == \
+                (tmp_path / "labelled" / name).read_bytes()
+        assert json.loads((tmp_path / "partly" / "report.json").read_text())["n_dropped"] == 2
+
+    def test_eval_without_labels_raises(self, eval_run, tmp_path):
+        manifest, scores, params, cfg = eval_run
+        entries = json.loads(Path(manifest).read_text())
+        for e in entries:
+            if e["split"] == "eval":
+                e["correctness"] = None
+        m = tmp_path / "undisclosed.json"
+        m.write_text(json.dumps(entries))
+        with pytest.raises(pipeline.PipelineError, match="none of the 6 eval trials is labelled"):
+            pipeline.run_eval(scores, m, params, tmp_path, cfg)
+
     def test_perfect_predictions_metrics(self):
         from hirsim import calib
         truth = np.array([0.1, 0.4, 0.7, 0.9])
@@ -335,6 +384,35 @@ class TestCli:
         assert cli.main(["report", "--report", str(tmp_path / "report.json")]) == 0
         out = capsys.readouterr().out
         assert "RMSE" in out
+
+    def test_null_correctness_is_not_an_internal_error(self, tmp_path, capsys):
+        m = self_manifest(tmp_path / "d")
+        entries = json.loads(m.read_text())
+        entries[0]["correctness"] = None
+        m.write_text(json.dumps(entries))
+        base = ["--manifest", str(m), "--cache-dir", str(tmp_path / "c")]
+        assert cli.main(base + ["featurize"]) == cli.EXIT_OK
+        entries[1]["correctness"] = "high"
+        m.write_text(json.dumps(entries))
+        assert cli.main(base + ["featurize"]) == cli.EXIT_DATA
+        assert "entry 1: correctness 'high' is not a number" in capsys.readouterr().err
+
+    def test_lenient_sim_prints_each_failure(self, tmp_path, capsys):
+        m = self_manifest(tmp_path / "d")
+        base = ["--manifest", str(m), "--cache-dir", str(tmp_path / "c"), "--level", "enc"]
+        assert cli.main(base + ["featurize"]) == 0
+        assert cli.main(base + ["forward", "--levels", "enc"]) == 0
+        entries = json.loads(m.read_text())
+        entries.append({**entries[0], "signal_id": "lost", "proc_left": "audio/gone.wav",
+                        "proc_right": "audio/gone.wav"})
+        m.write_text(json.dumps(entries))
+        capsys.readouterr()
+        scores = str(tmp_path / "scores.csv")
+        assert cli.main(base + ["--lenient", "sim", "--scores", scores]) == cli.EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == f"sim: 2 trials scored -> {scores}\n"
+        assert err.startswith("  FAILED lost: missing enc representation of ")
+        assert err.count("FAILED") == 1
 
     def test_config_file_loading(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -178,6 +178,18 @@ class TestManifest:
         assert np.isnan(recs[0].correctness)
 
 
+    def test_null_correctness_is_unknown(self, tmp_path):
+        p = _write_manifest(tmp_path, [_entry(0, split="eval", correctness=None)])
+        assert "NaN" not in p.read_text()
+        assert np.isnan(load_manifest(p)[0].correctness)
+        assert np.isnan(load_manifest(p, wcs_percent=True)[0].correctness)
+
+    @pytest.mark.parametrize("bad", ["high", "0.5", True, [0.5], {"v": 0.5}])
+    def test_non_numeric_correctness_names_entry(self, tmp_path, bad):
+        p = _write_manifest(tmp_path, [_entry(0), _entry(1, correctness=bad)])
+        with pytest.raises(FormatError, match="entry 1: correctness .* is not a number"):
+            load_manifest(p)
+
 def test_trial_record_validation():
     with pytest.raises(ValueError):
         TrialRecord("", "l", "s", 0.5, "a", "b", "c", "d", "train")

@@ -100,6 +100,44 @@ class TestFramewise:
             framewise_binaural_sim(swapped, proc).value
 
 
+def framewise_per_pairing(ref, proc):
+    """Reference: row cosines of each of the four channel pairings in turn,
+    then the per-frame max; zero-norm frames summed over the pairings."""
+    T = min(ref.left.n_frames, proc.left.n_frames)
+    per_pair, zero = [], 0
+    for a in (ref.left, ref.right):
+        for b in (proc.left, proc.right):
+            A, B = a.data[:T].astype(np.float64), b.data[:T].astype(np.float64)
+            na, nb = np.linalg.norm(A, axis=1), np.linalg.norm(B, axis=1)
+            z = (na < sim.ZERO_NORM_EPS) | (nb < sim.ZERO_NORM_EPS)
+            per_pair.append(np.where(z, 0.0, np.einsum("td,td->t", A, B)
+                                     / np.where(z, 1.0, na * nb)))
+            zero += int(z.sum())
+    return float(np.maximum.reduce(per_pair).mean()), zero
+
+
+class TestFramewiseBroadcast:
+    @pytest.mark.parametrize("t_ref,t_proc,d",
+                             [(1, 1, 1), (12, 12, 7), (50, 49, 64), (101, 100, 40)])
+    def test_equals_per_pairing_reference(self, rng, t_ref, t_proc, d):
+        for _ in range(5):
+            ref = make_binaural(rng, t_ref, d, level="pre")
+            proc = make_binaural(rng, t_proc, d, level="pre")
+            score = framewise_binaural_sim(ref, proc)
+            assert (score.value, score.zero_norm_frames) == framewise_per_pairing(ref, proc)
+
+    def test_zero_norm_rows_equal_reference(self, rng):
+        chans = [rng.normal(size=(20, 6)).astype(np.float32) for _ in range(4)]
+        for c, rows in zip(chans, ([0, 3], [3, 7], [], [0, 19])):
+            c[rows] = 0.0
+        ref = BinauralRep(left=rep(chans[0], "enc", "left"), right=rep(chans[1], "enc", "right"))
+        proc = BinauralRep(left=rep(chans[2], "enc", "left"), right=rep(chans[3], "enc", "right"))
+        score = framewise_binaural_sim(ref, proc)
+        assert (score.value, score.zero_norm_frames) == framewise_per_pairing(ref, proc)
+        # pairings (l,l) 2 (l,r) 3 (r,l) 2 (r,r) 4
+        assert score.zero_norm_frames == 11
+
+
 class TestWarpPath:
     def test_boundary_enforced(self):
         with pytest.raises(ValueError):
