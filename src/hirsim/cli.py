@@ -12,18 +12,12 @@ import json
 import sys
 from pathlib import Path
 
-from . import asr, calib, feats, pipeline, reps, sim
+from . import pipeline, reps
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
-
-_DATA_ERRORS = (
-    pipeline.PipelineError, reps.FormatError, feats.AudioError,
-    sim.SimilarityError, calib.MetricError, asr.AsrError,
-    FileNotFoundError, ValueError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,14 +117,14 @@ def main(argv=None) -> int:
         if args.command == "eval":
             report = pipeline.run_eval(args.scores, _require_manifest(args),
                                        args.params, args.out_dir, cfg)
-            _print_report(report)
+            _print_report(report, Path(args.out_dir) / "report.json")
             return EXIT_OK
         if args.command == "report":
-            _print_report(json.loads(Path(args.report).read_text()))
+            _print_report(json.loads(Path(args.report).read_text()), args.report)
             return EXIT_OK
         print(f"error: unknown command {args.command}", file=sys.stderr)
         return EXIT_USAGE
-    except _DATA_ERRORS as e:
+    except pipeline.DATA_ERRORS as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:  # noqa: BLE001 - stable exit-code contract
@@ -138,12 +132,13 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-def _print_report(report: dict) -> None:
-    print(f"level: {report.get('level', '?')}")
+def _print_report(report: dict, source) -> None:
+    print(f"level: {reps.require_keys(report, (), str(source)).get('level', '?')}")
     for section in ("trial", "trial_raw", "listener", "system"):
         if section not in report:
             continue
-        m = {k: float("nan") if v is None else v for k, v in report[section].items()}
+        m = reps.require_keys(report[section], ("rmse", "ncc", "kt"), f"{source}: {section!r}")
+        m = {k: float("nan") if v is None else v for k, v in m.items()}
         print(f"{section:>10}: RMSE {m['rmse']:.4f}  NCC {m['ncc']:.4f}  KT {m['kt']:.4f}")
 
 

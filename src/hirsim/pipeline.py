@@ -8,10 +8,13 @@ computed once. All stages are deterministic, down to the output bytes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +26,11 @@ from . import asr, calib, feats, reps, sim
 
 class PipelineError(Exception):
     pass
+
+
+# what bad input raises: recorded per trial under --lenient; the CLI exits 2 on it
+DATA_ERRORS = (PipelineError, reps.FormatError, feats.AudioError, sim.SimilarityError,
+               calib.MetricError, asr.AsrError, OSError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -44,16 +52,21 @@ class PipelineConfig:
             raise ValueError("dtw_radius must be >= 0")
 
 
+def _known(raw, cls, where: str) -> dict:
+    """`raw` if it is a JSON object whose keys are all fields of `cls`."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"{where} has unknown key {unknown[0]!r}")
+    return raw
+
+
 def load_config(path) -> PipelineConfig:
-    raw = json.loads(Path(path).read_text())
-    kwargs = {}
-    if "feat" in raw:
-        kwargs["feat"] = feats.FeatConfig(**raw["feat"])
-    if "asr" in raw:
-        kwargs["asr"] = asr.ToyAsrConfig(**raw["asr"])
-    for key in ("level", "dtw_radius", "fit_split", "wcs_percent", "lenient"):
-        if key in raw:
-            kwargs[key] = raw[key]
+    kwargs = dict(_known(json.loads(Path(path).read_text()), PipelineConfig, f"config {path}"))
+    for key, cls in (("feat", feats.FeatConfig), ("asr", asr.ToyAsrConfig)):
+        if key in kwargs:
+            kwargs[key] = cls(**_known(kwargs[key], cls, f"config {path}: {key!r}"))
     return PipelineConfig(**kwargs)
 
 
@@ -66,6 +79,17 @@ class StageResult:
     written: int = 0
     skipped: int = 0
     failures: list = field(default_factory=list)  # (signal_id, message)
+
+
+@contextlib.contextmanager
+def _trial(result: StageResult, cfg: PipelineConfig, stage: str, signal_id: str):
+    """Record a data error of one trial's work; re-raise it unless lenient."""
+    try:
+        yield
+    except DATA_ERRORS as e:
+        result.failures.append((signal_id, str(e)))
+        if not cfg.lenient:
+            raise PipelineError(f"{stage} failed for {signal_id}: {e}") from e
 
 
 def _input_keys(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig) -> list:
@@ -128,7 +152,7 @@ def run_featurize(manifest_path, cache_dir, cfg: PipelineConfig) -> StageResult:
         result.skipped += len(uses) - len(todo)
         if not todo:
             continue
-        try:
+        with _trial(result, cfg, "featurize", signal_id):
             # one read per file: a stereo WAV supplies both channels
             source = reps.read_reps(path) if path.suffix == ".hrep" else feats.read_wav(path)
             for key, channel in todo:
@@ -137,10 +161,6 @@ def run_featurize(manifest_path, cache_dir, cfg: PipelineConfig) -> StageResult:
                 reps.write_reps(reps.RepSequence(data, "input", channel, signal_id=""),
                                 _rep_path(cache, key, "input", cfg.asr))
                 result.written += 1
-        except (OSError, feats.AudioError, reps.FormatError, ValueError) as e:
-            result.failures.append((signal_id, str(e)))
-            if not cfg.lenient:
-                raise PipelineError(f"featurize failed for {signal_id}: {e}") from e
     return result
 
 
@@ -158,20 +178,17 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
             raise PipelineError(f"forward cannot produce level {lv!r}")
 
     for signal_id, key, path, channel in _distinct(records, manifest_path, cfg):
-        src = key and _rep_path(cache, key, "input", cfg.asr)
-        if not (src and src.exists()):
-            msg = f"missing input representation of {path} ({channel})"
-            result.failures.append((signal_id, msg))
-            if not cfg.lenient:
-                raise PipelineError(msg)
-            continue
-        todo = [lv for lv in levels if not _rep_path(cache, key, lv, cfg.asr).exists()]
-        result.skipped += len(levels) - len(todo)
-        if todo:
-            hidden = asr.toy_forward(reps.read_reps(src), cfg.asr)
-            for lv in todo:
-                reps.write_reps(hidden[lv], _rep_path(cache, key, lv, cfg.asr))
-            result.written += len(todo)
+        with _trial(result, cfg, "forward", signal_id):
+            src = key and _rep_path(cache, key, "input", cfg.asr)
+            if not (src and src.exists()):
+                raise PipelineError(f"missing input representation of {path} ({channel})")
+            todo = [lv for lv in levels if not _rep_path(cache, key, lv, cfg.asr).exists()]
+            result.skipped += len(levels) - len(todo)
+            if todo:
+                hidden = asr.toy_forward(reps.read_reps(src), cfg.asr)
+                for lv in todo:
+                    reps.write_reps(hidden[lv], _rep_path(cache, key, lv, cfg.asr))
+                result.written += len(todo)
     return result
 
 
@@ -225,7 +242,7 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
                                        reps.BinauralRep(*chans[2:]), cfg.dtw_radius)
 
     for (rec, slots), pairing in zip(trials, ids):
-        try:
+        with _trial(result, cfg, "sim", rec.signal_id):
             value = scores.get(pairing, functools.partial(score, slots))
             rows.append({
                 "signal_id": rec.signal_id, "listener_id": rec.listener_id,
@@ -233,10 +250,6 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
                 "raw_score": f"{value.value:.12g}",
                 "zero_norm_frames": value.zero_norm_frames,
             })
-        except (PipelineError, reps.FormatError, sim.SimilarityError) as e:
-            result.failures.append((rec.signal_id, str(e)))
-            if not cfg.lenient:
-                raise PipelineError(f"sim failed for trial {rec.signal_id}: {e}") from e
 
     scores_path = Path(scores_path)
     scores_path.parent.mkdir(parents=True, exist_ok=True)
@@ -250,44 +263,54 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
 
 def read_scores(scores_path) -> list[dict]:
     with Path(scores_path).open(newline="") as f:
-        lines = [ln for ln in f if not ln.startswith("#")]
-    rows = list(csv.DictReader(lines))
-    for row in rows:
-        row["raw_score"] = float(row["raw_score"])
-        row["zero_norm_frames"] = int(row["zero_norm_frames"])
+        reader = csv.DictReader(ln for ln in f if not ln.startswith("#"))
+        missing = [k for k in SCORE_FIELDS if k not in (reader.fieldnames or ())]
+        if missing:
+            raise reps.FormatError(f"{scores_path}: no {missing[0]!r} column")
+        rows = list(reader)
+    for i, row in enumerate(rows):
+        try:
+            row["raw_score"] = float(row["raw_score"])
+            row["zero_norm_frames"] = int(row["zero_norm_frames"])
+        except (TypeError, ValueError) as e:
+            raise reps.FormatError(f"{scores_path}: score row {i}: {e}") from e
     return rows
 
 
-def _join_scores(scores: list[dict], records: list[reps.TrialRecord]) -> list[dict]:
+def _labelled(scores_path, manifest_path, cfg: PipelineConfig, splits) -> tuple:
+    """The manifest records and raw scores of the score rows in `splits`
+    whose correctness is known, and the number of rows in `splits` whose
+    correctness is not (NaN), which carry nothing to fit or score against."""
+    records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent, lenient=True)
     by_key = {(r.signal_id, r.listener_id): r for r in records}
-    joined = []
-    for row in scores:
+    labelled, raw, n_rows = [], [], 0
+    for row in read_scores(scores_path):
         rec = by_key.get((row["signal_id"], row["listener_id"]))
         if rec is None:
             raise PipelineError(
                 f"score row ({row['signal_id']}, {row['listener_id']}) not in manifest")
-        joined.append({**row, "correctness": rec.correctness, "split": rec.split})
-    return joined
+        if rec.split in splits:
+            n_rows += 1
+            if math.isfinite(rec.correctness):
+                labelled.append(rec)
+                raw.append(row["raw_score"])
+    return labelled, np.array(raw), n_rows - len(labelled)
 
 
 def run_fit(scores_path, manifest_path, params_path, cfg: PipelineConfig) -> calib.LogisticParams:
     """Fit the logistic mapping on the configured split; never reads eval WCS."""
-    records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent, lenient=True)
     splits = ("dev",) if cfg.fit_split == "dev" else ("train", "dev")
-    rows = [r for r in _join_scores(read_scores(scores_path), records)
-            if r["split"] in splits]
-    if not rows:
+    recs, raw, n_dropped = _labelled(scores_path, manifest_path, cfg, splits)
+    if not (recs or n_dropped):
         raise PipelineError(f"no trials in split(s) {splits} to fit on")
-    # unlabelled (NaN) rows carry no information about the mapping
-    pairs = [(r["raw_score"], r["correctness"]) for r in rows if np.isfinite(r["correctness"])]
-    params = calib.fit_logistic(pairs)
-    mapped = calib.logistic(np.array([p[0] for p in pairs]), params)
-    fit_rmse = calib.rmse(mapped, [p[1] for p in pairs])
+    truth = np.array([r.correctness for r in recs])
+    params = calib.fit_logistic(zip(raw, truth))
+    fit_rmse = calib.rmse(calib.logistic(raw, params), truth)
     out = Path(params_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(
-        {"a": params.a, "b": params.b, "fit_rmse": fit_rmse, "n_dev": len(pairs),
-         "n_dropped": len(rows) - len(pairs)},
+        {"a": params.a, "b": params.b, "fit_rmse": fit_rmse, "n_dev": len(recs),
+         "n_dropped": n_dropped},
         indent=2, allow_nan=False) + "\n")
     return params
 
@@ -296,27 +319,22 @@ def run_eval(scores_path, manifest_path, params_path, out_dir,
              cfg: PipelineConfig) -> dict:
     """Evaluate on the eval split; writes report.json and the listener-wise
     and system-wise CSVs."""
-    records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent, lenient=True)
-    params_raw = json.loads(Path(params_path).read_text())
+    params_raw = reps.require_keys(json.loads(Path(params_path).read_text()), ("a", "b"),
+                                   str(params_path))
     params = calib.LogisticParams(a=params_raw["a"], b=params_raw["b"])
-    rows = [r for r in _join_scores(read_scores(scores_path), records)
-            if r["split"] == "eval"]
-    if not rows:
+    rows, raw, n_dropped = _labelled(scores_path, manifest_path, cfg, ("eval",))
+    if not (rows or n_dropped):
         raise PipelineError("eval split is empty")
-    # unlabelled (NaN) trials have nothing to be scored against
-    labelled = [r for r in rows if np.isfinite(r["correctness"])]
-    if not labelled:
-        raise PipelineError(f"none of the {len(rows)} eval trials is labelled")
-    n_dropped, rows = len(rows) - len(labelled), labelled
+    if not rows:
+        raise PipelineError(f"none of the {n_dropped} eval trials is labelled")
 
-    raw = np.array([r["raw_score"] for r in rows])
-    truth = np.array([r["correctness"] for r in rows])
+    truth = np.array([r.correctness for r in rows])
     mapped = calib.logistic(raw, params)
     trial = calib.trial_report(mapped, truth, kt_scores=raw)
     listener = calib.group_aggregate(
-        [(r["listener_id"], m, r["correctness"]) for r, m in zip(rows, mapped)], "listener")
+        [(r.listener_id, m, r.correctness) for r, m in zip(rows, mapped)], "listener")
     system = calib.group_aggregate(
-        [(r["system_id"], m, r["correctness"]) for r, m in zip(rows, mapped)], "system")
+        [(r.system_id, m, r.correctness) for r, m in zip(rows, mapped)], "system")
 
     report = {
         "level": cfg.level,

@@ -155,6 +155,16 @@ class TrialRecord:
             raise ValueError(f"unknown split {self.split!r}")
 
 
+def require_keys(obj, keys, where: str) -> dict:
+    """`obj` if it is a JSON object holding every one of `keys`."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise FormatError(f"{where}: missing key {key!r}")
+    return obj
+
+
 _REQUIRED_KEYS = (
     "signal_id", "listener_id", "system_id", "correctness",
     "ref_left", "ref_right", "proc_left", "proc_right", "split",
@@ -179,11 +189,7 @@ def load_manifest(path, wcs_percent: bool = False, lenient: bool = False) -> lis
     records = []
     seen = set()
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise FormatError(f"{path}: entry {i} is not an object")
-        for key in _REQUIRED_KEYS:
-            if key not in entry:
-                raise FormatError(f"{path}: entry {i} missing key {key!r}")
+        require_keys(entry, _REQUIRED_KEYS, f"{path}: entry {i}")
         wcs = entry["correctness"]
         if wcs is not None and (isinstance(wcs, bool) or not isinstance(wcs, (int, float))):
             raise FormatError(f"{path}: entry {i}: correctness {wcs!r} is not a number")

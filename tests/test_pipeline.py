@@ -37,6 +37,27 @@ def self_manifest(root, n=2):
     return m
 
 
+def add_processed(m, signal_id, left, right):
+    """Append to manifest `m` a copy of its first trial whose processed left
+    and right channels are new WAV files holding `left` and `right`."""
+    entries = json.loads(m.read_text())
+    names = []
+    for side, x in (("l", left), ("r", right)):
+        name = f"audio/{signal_id}_{side}.wav"
+        write_stereo_wav(m.parent / name, x, x)
+        names.append(name)
+    entries.append({**entries[0], "signal_id": signal_id,
+                    "proc_left": names[0], "proc_right": names[1]})
+    m.write_text(json.dumps(entries))
+
+
+def write_scores(path, rows, header=",".join(pipeline.SCORE_FIELDS)):
+    """A scores.csv of (signal_id, listener_id, raw_score) rows."""
+    path.write_text("".join(f"{ln}\n" for ln in [header] + [
+        f"{sid},{lid},ident,enc,{raw},0" for sid, lid, raw in rows]))
+    return path
+
+
 class TestFeaturize:
     def test_file_count_and_idempotence(self, dataset, tmp_path):
         root, manifest = dataset
@@ -131,6 +152,24 @@ class TestForward:
         for p in decs:
             reps.read_reps(p)
 
+    def test_lenient_forward_carries_on_past_a_short_clip(self, tmp_path, capsys):
+        m = self_manifest(tmp_path / "d")
+        # 800 samples give 3 log-mel frames, fewer than the PreNet needs
+        add_processed(m, "short", synth_speechlike(7, n_samples=800), synth_speechlike(7))
+        base = ["--manifest", str(m), "--cache-dir", str(tmp_path / "c")]
+        assert cli.main(base + ["featurize"]) == cli.EXIT_OK
+        n_inputs = len(list((tmp_path / "c").glob("*.input.hrep")))
+        capsys.readouterr()
+        assert cli.main(base + ["--lenient", "forward"]) == cli.EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == f"forward: {3 * (n_inputs - 1)} written, 0 up to date, 1 failed\n"
+        assert err.startswith("  FAILED short: 3 frames is shorter than the PreNet")
+        assert err.count("FAILED") == 1
+        for lv in ("pre", "enc", "dec"):
+            assert len(list((tmp_path / "c").glob(f"*.{lv}.hrep"))) == n_inputs - 1
+        assert cli.main(base + ["forward"]) == cli.EXIT_DATA
+        assert "data error: forward failed for short: 3 frames" in capsys.readouterr().err
+
 
 class TestSimFitEval:
     def test_identical_signals_score_one(self, tmp_path):
@@ -208,6 +247,26 @@ class TestSimFitEval:
             ("c0", "L0"), ("c0", "L9"), ("c1", "L1"), ("c1", "L9"), ("x", "L0"), ("y", "L0")]
         assert rows[0]["raw_score"] == rows[1]["raw_score"] == rows[5]["raw_score"]
         assert rows[4]["raw_score"] < rows[0]["raw_score"]
+
+    def test_join_rejects_a_score_row_not_in_the_manifest(self, tmp_path):
+        m = self_manifest(tmp_path / "d")
+        scores = write_scores(tmp_path / "s.csv", [("c0", "L0", 0.9), ("ghost", "L0", 0.5)])
+        (tmp_path / "p.json").write_text('{"a": -4.0, "b": 2.0}')
+        with pytest.raises(pipeline.PipelineError, match=r"score row \(ghost, L0\) not in manifest"):
+            pipeline.run_fit(scores, m, tmp_path / "fitted.json", PipelineConfig())
+        with pytest.raises(pipeline.PipelineError, match=r"score row \(ghost, L0\) not in manifest"):
+            pipeline.run_eval(scores, m, tmp_path / "p.json", tmp_path, PipelineConfig())
+
+    def test_join_rejects_an_empty_split(self, tmp_path):
+        m = self_manifest(tmp_path / "d")  # every trial is in the eval split
+        scores = write_scores(tmp_path / "s.csv", [("c0", "L0", 0.9), ("c1", "L1", 0.5)])
+        with pytest.raises(pipeline.PipelineError,
+                           match=r"no trials in split\(s\) \('dev',\) to fit on"):
+            pipeline.run_fit(scores, m, tmp_path / "fitted.json", PipelineConfig())
+        m.write_text(json.dumps([{**e, "split": "dev"} for e in json.loads(m.read_text())]))
+        (tmp_path / "p.json").write_text('{"a": -4.0, "b": 2.0}')
+        with pytest.raises(pipeline.PipelineError, match="eval split is empty"):
+            pipeline.run_eval(scores, m, tmp_path / "p.json", tmp_path, PipelineConfig())
 
     def test_scores_csv_is_byte_deterministic(self, tmp_path):
         m = self_manifest(tmp_path / "d")
@@ -413,6 +472,64 @@ class TestCli:
         assert out == f"sim: 2 trials scored -> {scores}\n"
         assert err.startswith("  FAILED lost: missing enc representation of ")
         assert err.count("FAILED") == 1
+
+    def test_lenient_sim_carries_on_past_unequal_channel_lengths(self, tmp_path, capsys):
+        m = self_manifest(tmp_path / "d")
+        add_processed(m, "uneven", synth_speechlike(7), synth_speechlike(7, n_samples=9600))
+        base = ["--manifest", str(m), "--cache-dir", str(tmp_path / "c"), "--level", "enc"]
+        assert cli.main(base + ["featurize"]) == cli.EXIT_OK
+        assert cli.main(base + ["forward", "--levels", "enc"]) == cli.EXIT_OK
+        capsys.readouterr()
+        scores = tmp_path / "scores.csv"
+        assert cli.main(base + ["--lenient", "sim", "--scores", str(scores)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("  FAILED uneven: channel lengths differ at level enc: ")
+        assert err.count("FAILED") == 1
+        assert [r["signal_id"] for r in pipeline.read_scores(scores)] == ["c0", "c1"]
+        assert cli.main(base + ["sim", "--scores", str(scores)]) == cli.EXIT_DATA
+        assert "data error: sim failed for uneven: channel lengths differ" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, cause", [
+        ({"feat": {"nmels": 40}}, "'feat' has unknown key 'nmels'"),
+        ({"levle": "enc"}, "has unknown key 'levle'"),
+        ([1], "must be a JSON object"),
+    ], ids=["nested-key", "top-level-key", "not-an-object"])
+    def test_malformed_config_is_data_error(self, tmp_path, capsys, config, cause):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = cli.main(["--config", str(cfg_path), "--manifest", str(self_manifest(tmp_path)),
+                       "--cache-dir", str(tmp_path / "c"), "featurize"])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: config {cfg_path}") and cause in err
+        assert not (tmp_path / "c").exists()
+
+    def test_scores_without_raw_score_column_is_data_error(self, tmp_path, capsys):
+        scores = write_scores(tmp_path / "s.csv", [("c0", "L0", 0.9)],
+                              header="signal_id,listener_id,system_id,level,score,zero_norm_frames")
+        assert cli.main(["--manifest", str(self_manifest(tmp_path)),
+                         "fit", "--scores", str(scores)]) == cli.EXIT_DATA
+        assert f"data error: {scores}: no 'raw_score' column" in capsys.readouterr().err
+
+    def test_params_without_a_is_data_error(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text('{"b": 2.0}')
+        base = ["--manifest", str(self_manifest(tmp_path)), "eval", "--scores", "s.csv"]
+        assert cli.main(base + ["--params", str(params)]) == cli.EXIT_DATA
+        assert f"data error: {params}: missing key 'a'" in capsys.readouterr().err
+        # an OSError other than a missing file is a data error too
+        assert cli.main(base + ["--params", str(tmp_path)]) == cli.EXIT_DATA
+        assert "data error: [Errno 21] Is a directory" in capsys.readouterr().err
+
+    def test_report_section_without_ncc_is_data_error(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"level": "enc", "trial": {"rmse": 0.1, "kt": 0.5}}))
+        assert cli.main(["report", "--report", str(report)]) == cli.EXIT_DATA
+        assert f"data error: {report}: 'trial': missing key 'ncc'" in capsys.readouterr().err
+        report.write_text(json.dumps({"level": "enc", "trial": {"rmse": 0.1, "ncc": None, "kt": 0.5}}))
+        assert cli.main(["report", "--report", str(report)]) == cli.EXIT_OK
+        assert "NCC nan" in capsys.readouterr().out
 
     def test_config_file_loading(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
