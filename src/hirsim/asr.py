@@ -203,7 +203,7 @@ class ToyAsrConfig:
     n_heads: int = 4
     n_enc_blocks: int = 2
     n_dec_blocks: int = 2
-    prenet_channels: tuple = (4, 8)
+    prenet_channels: tuple[int, ...] = (4, 8)
     vocab_size: int = 16  # includes blank at 0; last index is the end symbol
     max_decode_len: int = 16
     seed_tag: int = 0

@@ -4,11 +4,10 @@ aggregation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import expit, logit
 
 
 class MetricError(Exception):
@@ -23,6 +22,24 @@ class LogisticParams:
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b)):
             raise ValueError("logistic parameters must be finite")
+
+
+def expit(x):
+    """1 / (1 + exp(-x)), elementwise, without overflow: e = exp(-|x|) is at
+    most 1, and the result is 1 / (1 + e) for x >= 0 and e / (1 + e) below."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def logit(p):
+    """log(p / (1 - p)), elementwise: -inf at 0, inf at 1, NaN outside [0, 1].
+    On [0.3, 0.65], where the quotient loses precision, it is the equal
+    2 atanh(2p - 1)."""
+    p = np.asarray(p, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((p < 0.3) | (p > 0.65), np.log(p / (1.0 - p)),
+                        2.0 * np.arctanh(2.0 * (p - 0.5)))
 
 
 def logistic(x, p: LogisticParams):
@@ -74,6 +91,124 @@ def _grid_start(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.array(best[1:])
 
 
+def _trust_step(f: float, g: float, h: float, c0: float, c1: float,
+                delta: float) -> tuple:
+    """p = (p0, p1) minimising |T p + c|^2 + lam |p|^2, T = [[f, g], [0, h]],
+    for the smallest lam >= 0 with |p| <= 1.1 delta, and |T p|^2 and lam |p|^2.
+
+    More's lmpar for two unknowns: for each lam, two Givens rotations reduce
+    [T; sqrt(lam) I] to a triangle S (MINPACK's qrsolv), and lam takes
+    Newton steps on 1/|p(lam)|, the slope coming from S^-T p, until |p| is
+    within 0.1 delta of delta. A step that leaves the bracket of lams seen on
+    either side of delta, which starts as [0, |T'c| / delta], is replaced by
+    the bracket's geometric mean. The iteration runs on T / max|T| and
+    c / max|c|, so that it neither over- nor underflows where the sigmoid
+    saturates.
+    """
+    top, cmax = max(abs(f), abs(g), abs(h)), max(abs(c0), abs(c1))
+    f, g, h, c0, c1 = f / top, g / top, h / top, c0 / cmax, c1 / cmax
+    radius = delta * top / cmax
+    if not radius > 0.0:
+        return (0.0, 0.0), 0.0, 0.0
+    lam, lo, hi = 0.0, 0.0, math.hypot(f * c0, g * c0 + h * c1) / radius
+    for _ in range(11):
+        s = math.sqrt(lam)
+        r0 = math.hypot(f, s)
+        cs, sn = (f / r0, s / r0) if r0 else (1.0, 0.0)
+        r1 = math.hypot(h, sn * g, s)
+        p1 = -(h * c1 + sn * g * sn * c0) / r1 / r1 if r1 else 0.0
+        p0 = -cs * (c0 + g * p1) / r0 if r0 else 0.0
+        norm = math.hypot(p0, p1)
+        if norm <= 1.1 * radius if lam == 0.0 else abs(norm - radius) <= 0.1 * radius:
+            break
+        lo, hi = (lo, lam) if norm <= radius else (lam, hi)  # a NaN norm is too long
+        q0 = p0 / r0 if r0 else 0.0
+        q1 = (p1 - cs * g * q0) / r1 if r1 else 0.0
+        qq = q0 * q0 + q1 * q1
+        step = norm * norm * (norm - radius) / (radius * qq) if qq else math.nan
+        lam = lam + step if lo < lam + step < hi else (
+            math.sqrt(lo * hi) if lo > 0.0 else 1e-3 * hi)
+    tp0, tp1 = f * p0 + g * p1, h * p1
+    scale = cmax / top
+    return ((p0 * scale, p1 * scale), (tp0 * tp0 + tp1 * tp1) * cmax * cmax,
+            lam * norm * norm * cmax * cmax)
+
+
+def _levenberg_marquardt(x: np.ndarray, y: np.ndarray, ab,
+                         tol: float = 1e-15, max_evals: int = 1000) -> tuple[float, float]:
+    """(a, b) from `ab` downhill to a local minimum of |r|^2, r = expit(-(a x + b)) - y.
+
+    More's trust-region Levenberg-Marquardt ("The Levenberg-Marquardt
+    algorithm: implementation and theory", LNM 630, 1978; MINPACK's lmder)
+    with the analytic Jacobian J = f (f - 1) [x, 1], f = expit(-(a x + b)).
+    Each step h minimises |J h + r|^2 + lam |D h|^2, D the running maximum of
+    the column norms of J, for the smallest lam that keeps |D h| within the
+    trust radius; the radius grows and shrinks with the ratio of the actual to
+    the predicted reduction. The damped 2x2 problem is solved from the
+    triangular factor R of J (modified Gram-Schmidt, with Q'r taken the same
+    way), never from J'J, whose condition number is squared: scores that
+    differ in their eighth digit still separate. Stops when the cosine
+    between r and each column of J, the trust radius relative to |D (a, b)|,
+    or both the actual and the predicted relative reduction of |r|^2 fall to
+    `tol`.
+    """
+    def residual(a, b):
+        f = expit(-(a * x + b))
+        return f, f - y
+
+    a, b = float(ab[0]), float(ab[1])
+    f, r = residual(a, b)
+    cost = float(r @ r)
+    d = None
+    evals, first = 1, True
+    while True:
+        w = f * (f - 1.0)
+        jx = w * x
+        r00 = math.sqrt(jx @ jx)
+        q0 = jx / r00 if r00 else jx
+        r01 = float(q0 @ w)
+        v = w - r01 * q0
+        r11 = math.sqrt(v @ v)
+        c0 = float(q0 @ r)
+        c1 = float(v @ (r - c0 * q0)) / r11 if r11 else 0.0
+        norms = (r00, math.hypot(r01, r11))
+        if d is None:
+            d = [n if n > 0.0 else 1.0 for n in norms]
+            delta = 100.0 * (math.hypot(d[0] * a, d[1] * b) or 1.0)
+        d = [max(di, n) for di, n in zip(d, norms)]
+        gradient = (r00 * c0, r01 * c0 + r11 * c1)
+        if cost == 0.0 or all(abs(gj) <= tol * n * math.sqrt(cost)
+                              for gj, n in zip(gradient, norms)):
+            return a, b
+        while True:
+            (p0, p1), model, damping = _trust_step(r00 / d[0], r01 / d[1], r11 / d[1],
+                                                   c0, c1, delta)
+            pnorm = math.hypot(p0, p1)
+            if first:
+                delta = min(delta, pnorm)
+            new_f, new_r = residual(a + p0 / d[0], b + p1 / d[1])
+            evals += 1
+            new_cost = float(new_r @ new_r)
+            actual = cost - new_cost
+            predicted = model + 2.0 * damping
+            ratio = actual / predicted if predicted else 0.0
+            converged = abs(actual) <= tol * cost and predicted <= tol * cost and ratio <= 2.0
+            if ratio <= 0.25:
+                shrink = 0.5 if actual >= 0 else 0.5 * (model + damping) / (
+                    model + damping - 0.5 * actual)
+                delta = (0.1 if new_cost >= 100.0 * cost or shrink < 0.1 else shrink) * min(
+                    delta, 10.0 * pnorm)
+            elif damping == 0.0 or ratio >= 0.75:
+                delta = 2.0 * pnorm
+            if ratio >= 1e-4:
+                a, b, f, r, cost, first = a + p0 / d[0], b + p1 / d[1], new_f, new_r, new_cost, False
+            if (converged or evals >= max_evals
+                    or delta <= tol * math.hypot(d[0] * a, d[1] * b)):
+                return a, b
+            if ratio >= 1e-4:
+                break
+
+
 def fit_logistic(pairs) -> LogisticParams:
     """Least-squares fit of the logistic mapping on (raw_score, wcs) pairs.
 
@@ -90,13 +225,7 @@ def fit_logistic(pairs) -> LogisticParams:
 
     X = np.column_stack([x, np.ones_like(x)])
     z = -logit(np.clip(y, 1e-3, 1.0 - 1e-3))
-
-    def jac(ab):
-        f = expit(-(X @ ab))
-        return -(f * (1.0 - f))[:, None] * X
-
-    fits = [least_squares(lambda ab: expit(-(X @ ab)) - y, start, jac=jac, method="lm",
-                          ftol=1e-15, xtol=1e-15, gtol=1e-15).x
+    fits = [_levenberg_marquardt(x, y, start)
             for start in (np.linalg.lstsq(X, z, rcond=None)[0], _grid_start(x, y, z))]
     a, b = min(fits, key=lambda ab: _mse(ab, x, y))
     return LogisticParams(a=float(a), b=float(b))

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -120,7 +119,7 @@ def main(argv=None) -> int:
             _print_report(report, Path(args.out_dir) / "report.json")
             return EXIT_OK
         if args.command == "report":
-            _print_report(json.loads(Path(args.report).read_text()), args.report)
+            _print_report(reps.read_json(args.report, "report"), args.report)
             return EXIT_OK
         print(f"error: unknown command {args.command}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,11 +7,12 @@ All functions are pure; the same input always yields the same output.
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.io import wavfile
 
 from .reps import RepSequence
 
@@ -92,36 +93,74 @@ class FeatConfig:
         return n
 
 
+# (format tag, bits per sample) -> sample type of the `data` chunk
+_WAV_SAMPLES = {(1, 16): np.dtype("<i2"), (3, 32): np.dtype("<f4")}
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# bytes 2-15 of every KSDATAFORMAT_SUBTYPE GUID; bytes 0-1 hold the format tag
+_SUBTYPE_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
 def read_wav(path) -> StereoSignal:
-    """Read a 16-bit PCM or 32-bit float WAV as a StereoSignal.
+    """Read a 16-bit PCM or 32-bit float WAV file as a StereoSignal.
+
+    A little-endian RIFF/WAVE file whose `fmt ` chunk has format tag 1 (PCM,
+    16 bits) or 3 (IEEE float, 32 bits), directly or as the subformat of
+    WAVE_FORMAT_EXTENSIBLE, with one or two channels. Other chunks (LIST,
+    fact, ...) are skipped, with the pad byte that follows an odd-sized chunk.
+    Anything else is an AudioError naming the file: a truncated header or
+    chunk, RIFX or RF64, another sample format, more than two channels, or no
+    `fmt ` or `data` chunk. A missing file raises FileNotFoundError.
 
     Mono files are duplicated into both channels; int16 samples are scaled
     by 1/32768 into [-1, 1].
     """
+    buf = Path(path).read_bytes()
+
+    def bad(why) -> AudioError:
+        return AudioError(f"unsupported WAV file {path}: {why}")
+
+    if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+        raise bad(f"no little-endian RIFF/WAVE header: file starts {buf[:12]!r}")
+    fmt = data = None
+    pos, view = 12, memoryview(buf)
+    while data is None:
+        if pos + 8 > len(buf):
+            raise bad("no 'data' chunk" if fmt else "no 'fmt ' chunk")
+        chunk_id, size = struct.unpack_from("<4sI", buf, pos)
+        body = view[pos + 8:pos + 8 + size]  # no copy of the samples
+        if len(body) < size:
+            raise bad(f"{chunk_id!r} chunk truncated to {len(body)} of {size} bytes")
+        if chunk_id == b"fmt ":
+            fmt = body
+        elif chunk_id == b"data":
+            if fmt is None:
+                raise bad("no 'fmt ' chunk before the 'data' chunk")
+            data = body
+        pos += 8 + size + size % 2
+
+    if len(fmt) < 16:
+        raise bad(f"'fmt ' chunk of {len(fmt)} bytes")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == _WAVE_FORMAT_EXTENSIBLE:
+        if len(fmt) < 40 or fmt[26:40] != _SUBTYPE_GUID_TAIL:
+            raise bad("WAVE_FORMAT_EXTENSIBLE without a format-tag subformat")
+        tag = struct.unpack_from("<H", fmt, 24)[0]
+    dtype = _WAV_SAMPLES.get((tag, bits))
+    if dtype is None:
+        raise bad(f"format tag {tag} with {bits}-bit samples; "
+                  "expected 16-bit PCM (1) or 32-bit float (3)")
+    if channels not in (1, 2):
+        raise bad(f"{channels} channels; expected 1 or 2")
+    if block_align != channels * dtype.itemsize or len(data) % block_align:
+        raise bad(f"{len(data)} data bytes do not fill {channels}-channel "
+                  f"{bits}-bit frames of {block_align} bytes")
+    samples = np.frombuffer(data, dtype).reshape(-1, channels).astype(np.float64)
+    if dtype.kind == "i":
+        samples /= 32768.0
     try:
-        sr, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise
-    except Exception as e:
-        raise AudioError(f"unreadable WAV file {path}: {e}") from e
-    if data.size == 0:
-        raise AudioError(f"zero-length audio in {path}")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise AudioError(
-            f"unsupported sample format {data.dtype} in {path}; "
-            "expected 16-bit PCM or 32-bit float"
-        )
-    if samples.ndim == 1:
-        return StereoSignal(samples, samples.copy(), int(sr))
-    if samples.ndim == 2 and samples.shape[1] in (1, 2):
-        left = samples[:, 0]
-        right = samples[:, -1]
-        return StereoSignal(left, right, int(sr))
-    raise AudioError(f"unsupported channel layout {samples.shape} in {path}")
+        return StereoSignal(samples[:, 0], samples[:, -1], rate)
+    except AudioError as e:  # zero-length, zero rate or non-finite samples
+        raise bad(e) from None
 
 
 def frame_count(n_samples: int, cfg: FeatConfig, sr: int) -> int:

@@ -15,6 +15,8 @@ import functools
 import hashlib
 import json
 import math
+import types
+import typing
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,22 +54,42 @@ class PipelineConfig:
             raise ValueError("dtw_radius must be >= 0")
 
 
-def _known(raw, cls, where: str) -> dict:
-    """`raw` if it is a JSON object whose keys are all fields of `cls`."""
+def _matches(value, hint) -> bool:
+    """Whether JSON `value` is of type `hint`: an int is a float, a bool is
+    not a number, and a tuple comes as an array."""
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        return isinstance(value, list) and all(_matches(v, typing.get_args(hint)[0])
+                                               for v in value)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_matches(value, h) for h in typing.get_args(hint))
+    return isinstance(value, hint)
+
+
+def _from_json(raw, cls, where: str):
+    """A `cls` from a JSON object of its fields, each holding a value of the
+    field's type; a dataclass field from a nested object."""
     if not isinstance(raw, dict):
         raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(raw) - set(hints))
     if unknown:
         raise ValueError(f"{where} has unknown key {unknown[0]!r}")
-    return raw
+    kwargs = {}
+    for key, value in raw.items():
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            value = _from_json(value, hint, f"{where}: {key!r}")
+        elif not _matches(value, hint):
+            name = hint if typing.get_args(hint) else hint.__name__
+            raise ValueError(f"{where}: {key!r} must be {name}")
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def load_config(path) -> PipelineConfig:
-    kwargs = dict(_known(json.loads(Path(path).read_text()), PipelineConfig, f"config {path}"))
-    for key, cls in (("feat", feats.FeatConfig), ("asr", asr.ToyAsrConfig)):
-        if key in kwargs:
-            kwargs[key] = cls(**_known(kwargs[key], cls, f"config {path}: {key!r}"))
-    return PipelineConfig(**kwargs)
+    return _from_json(reps.read_json(path, "config"), PipelineConfig, f"config {path}")
 
 
 def _hash(*parts: bytes) -> str:
@@ -319,7 +341,7 @@ def run_eval(scores_path, manifest_path, params_path, out_dir,
              cfg: PipelineConfig) -> dict:
     """Evaluate on the eval split; writes report.json and the listener-wise
     and system-wise CSVs."""
-    params_raw = reps.require_keys(json.loads(Path(params_path).read_text()), ("a", "b"),
+    params_raw = reps.require_keys(reps.read_json(params_path, "params"), ("a", "b"),
                                    str(params_path))
     params = calib.LogisticParams(a=params_raw["a"], b=params_raw["b"])
     rows, raw, n_dropped = _labelled(scores_path, manifest_path, cfg, ("eval",))

@@ -155,6 +155,15 @@ class TrialRecord:
             raise ValueError(f"unknown split {self.split!r}")
 
 
+def read_json(path, what: str):
+    """The JSON value in file `path`. A file that is not JSON is a
+    FormatError naming it as `what`; an OSError names the path itself."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except ValueError as e:
+        raise FormatError(f"{what} {path} is not JSON: {e}") from e
+
+
 def require_keys(obj, keys, where: str) -> dict:
     """`obj` if it is a JSON object holding every one of `keys`."""
     if not isinstance(obj, dict):
@@ -179,10 +188,7 @@ def load_manifest(path, wcs_percent: bool = False, lenient: bool = False) -> lis
     raises on the first missing one; lenient mode does not check (the stages
     report unreadable files when they read them).
     """
-    try:
-        entries = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise FormatError(f"cannot read manifest {path}: {e}") from e
+    entries = read_json(path, "manifest")
     if not isinstance(entries, list):
         raise FormatError(f"{path}: manifest must be a JSON array")
 

@@ -3,6 +3,8 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from hirsim import feats
@@ -67,6 +69,121 @@ def test_zero_length(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         feats.read_wav(tmp_path / "nope.wav")
+
+
+
+@settings(max_examples=40, deadline=None)
+@given(dtype=st.sampled_from([np.int16, np.float32]), channels=st.sampled_from([1, 2]),
+       n=st.integers(1, 3000), rate=st.integers(1, 192000), seed=st.integers(0, 2 ** 32 - 1))
+def test_read_wav_matches_scipy_reader(tmp_path_factory, dtype, channels, n, rate, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n,) if channels == 1 else (n, channels)
+    if dtype == np.int16:
+        data = rng.integers(-32768, 32768, size=shape).astype(np.int16)
+    else:
+        data = rng.uniform(-1.0, 1.0, size=shape).astype(np.float32)
+    p = tmp_path_factory.mktemp("wav") / "x.wav"
+    wavfile.write(p, rate, data)
+    sr, want = wavfile.read(p)
+    want = want.reshape(n, -1).astype(np.float64) / (32768.0 if dtype == np.int16 else 1.0)
+    sig = feats.read_wav(p)
+    assert sig.sample_rate_hz == sr == rate
+    assert np.array_equal(sig.samples_left, want[:, 0])
+    assert np.array_equal(sig.samples_right, want[:, -1])
+
+
+def _chunk(chunk_id: bytes, body: bytes) -> bytes:
+    """One RIFF chunk, with the pad byte after an odd-sized body."""
+    return chunk_id + struct.pack("<I", len(body)) + body + b"\0" * (len(body) % 2)
+
+
+def _fmt(tag=1, channels=2, rate=SR, bits=16, subformat=None, block_align=None) -> bytes:
+    """A `fmt ` chunk; `subformat` makes it WAVE_FORMAT_EXTENSIBLE around that tag."""
+    block_align = channels * bits // 8 if block_align is None else block_align
+    body = struct.pack("<HHIIHH", tag if subformat is None else 0xFFFE, channels, rate,
+                       rate * block_align, block_align, bits)
+    if subformat is not None:
+        guid = struct.pack("<H", subformat) + bytes.fromhex("000000001000800000aa00389b71")
+        body += struct.pack("<HHI", 22, bits, 0) + guid
+    return _chunk(b"fmt ", body)
+
+
+def _riff(*chunks: bytes, magic=b"RIFF") -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return magic + struct.pack("<I", len(body)) + body
+
+
+STEREO = np.array([[1000, -2000], [3000, -4000], [-32768, 32767]], dtype="<i2")
+
+
+class TestHandBuiltWav:
+    def read(self, tmp_path, raw: bytes):
+        p = tmp_path / "h.wav"
+        p.write_bytes(raw)
+        return feats.read_wav(p)
+
+    def assert_stereo(self, sig):
+        assert sig.sample_rate_hz == SR
+        assert np.array_equal(sig.samples_left, STEREO[:, 0] / 32768.0)
+        assert np.array_equal(sig.samples_right, STEREO[:, 1] / 32768.0)
+
+    def test_list_and_fact_chunks_are_skipped(self, tmp_path):
+        raw = _riff(_chunk(b"LIST", b"INFOISFT\x04\0\0\0abc\0"), _fmt(),
+                    _chunk(b"fact", struct.pack("<I", 3)), _chunk(b"data", STEREO.tobytes()),
+                    _chunk(b"LIST", b"trailing"))
+        self.assert_stereo(self.read(tmp_path, raw))
+
+    def test_odd_sized_chunk_is_padded(self, tmp_path):
+        raw = _riff(_fmt(), _chunk(b"junk", b"odd"), _chunk(b"data", STEREO.tobytes()))
+        assert raw.count(b"odd\0data") == 1
+        self.assert_stereo(self.read(tmp_path, raw))
+
+    @pytest.mark.parametrize("tag, dtype, scale", [(1, "<i2", 32768.0), (3, "<f4", 1.0)])
+    def test_wave_format_extensible(self, tmp_path, tag, dtype, scale):
+        data = np.array([[0.25, -0.5], [0.75, 1.0]]) * (32767 if tag == 1 else 1.0)
+        data = data.astype(dtype)
+        raw = _riff(_fmt(subformat=tag, bits=8 * data.itemsize), _chunk(b"data", data.tobytes()))
+        sig = self.read(tmp_path, raw)
+        assert np.array_equal(sig.samples_left, data[:, 0] / scale)
+        assert np.array_equal(sig.samples_right, data[:, 1] / scale)
+
+    def test_mono_is_duplicated(self, tmp_path):
+        raw = _riff(_fmt(channels=1), _chunk(b"data", STEREO[:, 0].tobytes()))
+        sig = self.read(tmp_path, raw)
+        assert np.array_equal(sig.samples_left, STEREO[:, 0] / 32768.0)
+        assert np.array_equal(sig.samples_right, sig.samples_left)
+
+    GOOD = _riff(_fmt(), _chunk(b"data", STEREO.tobytes()))
+
+    @pytest.mark.parametrize("raw, cause", [
+        (GOOD[:10], "no little-endian RIFF/WAVE header"),
+        (GOOD[:30], "'fmt ' chunk truncated"),
+        (GOOD[:-3], "'data' chunk truncated"),
+        (GOOD[:36], "no 'data' chunk"),
+        (_riff(_chunk(b"data", STEREO.tobytes())), "no 'fmt ' chunk before the 'data' chunk"),
+        (_riff(_chunk(b"LIST", b"info")), "no 'fmt ' chunk"),
+        (b"RIFX" + GOOD[4:], "no little-endian RIFF/WAVE header"),
+        (b"RF64" + GOOD[4:], "no little-endian RIFF/WAVE header"),
+        (_riff(_fmt(bits=8), _chunk(b"data", b"\x80" * 6)), "format tag 1 with 8-bit samples"),
+        (_riff(_fmt(bits=24), _chunk(b"data", b"\0" * 18)), "format tag 1 with 24-bit samples"),
+        (_riff(_fmt(bits=32), _chunk(b"data", b"\0" * 24)), "format tag 1 with 32-bit samples"),
+        (_riff(_fmt(tag=3, bits=64), _chunk(b"data", b"\0" * 48)),
+         "format tag 3 with 64-bit samples"),
+        (_riff(_fmt(subformat=1, bits=24), _chunk(b"data", b"\0" * 18)),
+         "format tag 1 with 24-bit samples"),
+        (_riff(_fmt(channels=3), _chunk(b"data", b"\0" * 18)), "3 channels"),
+        (_riff(_fmt(block_align=2), _chunk(b"data", STEREO.tobytes())), "frames of 2 bytes"),
+        (_riff(_fmt(), _chunk(b"data", STEREO.tobytes()[:-2])), "data bytes do not fill"),
+        (_riff(_fmt(), _chunk(b"data", b"")), "zero-length audio"),
+        (_riff(_fmt(rate=0), _chunk(b"data", STEREO.tobytes())), "sample rate must be positive"),
+    ], ids=["short-header", "truncated-fmt", "truncated-data", "no-data", "data-before-fmt",
+            "no-fmt", "rifx", "rf64", "pcm8", "pcm24", "int32", "float64", "extensible-pcm24",
+            "three-channels", "bad-block-align", "partial-frame", "empty-data", "zero-rate"])
+    def test_unsupported_or_broken_file_names_itself(self, tmp_path, raw, cause):
+        with pytest.raises(AudioError) as e:
+            self.read(tmp_path, raw)
+        assert str(e.value).startswith(f"unsupported WAV file {tmp_path / 'h.wav'}: ")
+        assert cause in str(e.value)
 
 
 class TestFrameCount:

@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -494,7 +498,9 @@ class TestCli:
         ({"feat": {"nmels": 40}}, "'feat' has unknown key 'nmels'"),
         ({"levle": "enc"}, "has unknown key 'levle'"),
         ([1], "must be a JSON object"),
-    ], ids=["nested-key", "top-level-key", "not-an-object"])
+        ({"dtw_radius": "5"}, ": 'dtw_radius' must be int"),
+        ({"feat": {"n_mels": "40"}}, ": 'feat': 'n_mels' must be int"),
+    ], ids=["nested-key", "top-level-key", "not-an-object", "str-radius", "nested-str-n-mels"])
     def test_malformed_config_is_data_error(self, tmp_path, capsys, config, cause):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
@@ -530,6 +536,42 @@ class TestCli:
         report.write_text(json.dumps({"level": "enc", "trial": {"rmse": 0.1, "ncc": None, "kt": 0.5}}))
         assert cli.main(["report", "--report", str(report)]) == cli.EXIT_OK
         assert "NCC nan" in capsys.readouterr().out
+
+    def test_config_value_types(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        for bad, cause in [({"lenient": 1}, "'lenient' must be bool"),
+                           ({"feat": {"fmax_hz": "8k"}}, "'fmax_hz' must be float | None"),
+                           ({"asr": {"prenet_channels": [4, 8.0]}},
+                            "'prenet_channels' must be tuple[int, ...]")]:
+            cfg_path.write_text(json.dumps(bad))
+            with pytest.raises(ValueError, match=re.escape(cause)):
+                pipeline.load_config(cfg_path)
+        cfg_path.write_text(json.dumps({"feat": {"window_ms": 25, "fmax_hz": None},
+                                        "asr": {"prenet_channels": [2, 4]}}))
+        cfg = pipeline.load_config(cfg_path)
+        assert cfg.feat.window_ms == 25 and cfg.feat.fmax_hz is None
+        assert cfg.asr.prenet_channels == (2, 4)
+
+    @pytest.mark.parametrize("kind", ["config", "params", "report", "manifest"])
+    def test_non_json_input_file_names_itself(self, tmp_path, capsys, kind):
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text("not json")
+        manifest = str(bad if kind == "manifest" else self_manifest(tmp_path))
+        argv = {"config": ["--config", str(bad), "--manifest", manifest, "featurize"],
+                "params": ["--manifest", manifest, "eval", "--params", str(bad)],
+                "report": ["report", "--report", str(bad)],
+                "manifest": ["--manifest", manifest, "featurize"]}[kind]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {kind} {bad} is not JSON: Expecting value: line 1 column 1 (char 0)\n")
+
+    def test_importing_the_package_loads_no_scipy(self):
+        code = ("import sys, hirsim, hirsim.pipeline, hirsim.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(pipeline.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out == "[]\n"
 
     def test_config_file_loading(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
