@@ -5,7 +5,7 @@ aggregation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -305,36 +305,12 @@ def kendall_tau(pred, truth, variant: str = "b") -> float:
     return C_minus_D / np.sqrt(float(denom_sq))
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    rmse: float
-    ncc: float
-    kt: float
-    n_trials: int
-    grouping: str  # trial | listener | system
-    group_ids: tuple = ()
-    group_pred_means: tuple = ()
-    group_truth_means: tuple = ()
-    group_pred_stderr: tuple = ()
-    group_truth_stderr: tuple = ()
-
-    def to_dict(self) -> dict:
-        # correlations over a single group are undefined: null in JSON
-        d = {"rmse": self.rmse, "ncc": _or_none(self.ncc), "kt": _or_none(self.kt),
-             "n_trials": self.n_trials, "grouping": self.grouping}
-        if self.grouping != "trial":
-            d["groups"] = [
-                {"id": gid, "pred_mean": pm, "truth_mean": tm,
-                 "pred_stderr": ps, "truth_stderr": ts}
-                for gid, pm, tm, ps, ts in zip(
-                    self.group_ids, self.group_pred_means, self.group_truth_means,
-                    self.group_pred_stderr, self.group_truth_stderr)
-            ]
-        return d
-
-
-def _or_none(x: float) -> float | None:
-    return x if np.isfinite(x) else None
+def metrics(pred, truth, kt_scores=None) -> dict:
+    """RMSE, NCC and Kendall's tau of pred against truth; tau is taken on
+    kt_scores when given (raw similarities: tau is invariant to the monotone
+    logistic map, so taking it on raw scores is a presentation choice)."""
+    return {"rmse": rmse(pred, truth), "ncc": ncc(pred, truth),
+            "kt": kendall_tau(pred if kt_scores is None else kt_scores, truth)}
 
 
 def _stderr(vals: np.ndarray) -> float:
@@ -344,52 +320,33 @@ def _stderr(vals: np.ndarray) -> float:
     return float(vals.std(ddof=1) / np.sqrt(vals.size))
 
 
-def trial_report(pred, truth, kt_scores=None) -> EvalReport:
-    """Trial-level metrics. RMSE/NCC use the given predictions; Kendall's tau
-    uses kt_scores when provided (raw similarities: tau is invariant to the
-    monotone logistic map, so reporting it on raw scores is a presentation
-    choice)."""
-    kt_in = pred if kt_scores is None else kt_scores
-    return EvalReport(
-        rmse=rmse(pred, truth), ncc=ncc(pred, truth),
-        kt=kendall_tau(kt_in, truth), n_trials=len(list(pred)), grouping="trial")
+def _defined(metric, pred, truth) -> float | None:
+    """A correlation of inputs already checked by rmse, or None where it is
+    undefined: fewer than two values, or one side constant."""
+    try:
+        return metric(pred, truth)
+    except MetricError:
+        return None
 
 
-def group_aggregate(records, by: str) -> EvalReport:
-    """Aggregate (group_id, mapped_pred, wcs) records per listener or system
-    and compute the metrics over group means."""
-    if by not in ("listener", "system"):
-        raise MetricError(f"unknown grouping {by!r}")
-    records = list(records)
-    if not records:
-        raise MetricError("no records to aggregate")
-    groups: dict[str, list[tuple[float, float]]] = {}
-    for gid, pred, wcs in records:
-        groups.setdefault(str(gid), []).append((float(pred), float(wcs)))
-    ids = sorted(groups)
-    pred_means, truth_means, pred_se, truth_se = [], [], [], []
-    for gid in ids:
-        preds = np.array([p for p, _ in groups[gid]])
-        truths = np.array([w for _, w in groups[gid]])
-        pred_means.append(float(preds.mean()))
-        truth_means.append(float(truths.mean()))
-        pred_se.append(_stderr(preds))
-        truth_se.append(_stderr(truths))
-    if len(ids) >= 2:
-        group_ncc = ncc(pred_means, truth_means)
-        group_kt = kendall_tau(pred_means, truth_means)
-    else:
-        # correlations are undefined over a single group mean
-        group_ncc = float("nan")
-        group_kt = float("nan")
-    return EvalReport(
-        rmse=rmse(pred_means, truth_means),
-        ncc=group_ncc,
-        kt=group_kt,
-        n_trials=len(records), grouping=by,
-        group_ids=tuple(ids),
-        group_pred_means=tuple(pred_means),
-        group_truth_means=tuple(truth_means),
-        group_pred_stderr=tuple(pred_se),
-        group_truth_stderr=tuple(truth_se),
-    )
+def group_aggregate(ids, pred, truth) -> dict:
+    """The report section of trials grouped by id: each group's means and
+    standard errors of pred and truth, in id order, and RMSE, NCC and
+    Kendall's tau over the group means, a correlation that is undefined over
+    them being None."""
+    # an object array: numpy's str arrays drop trailing NULs
+    ids = np.array([str(g) for g in ids], dtype=object)
+    p, t = _paired(pred, truth, 1)
+    if ids.size != p.size:
+        raise MetricError("need one id per pred and truth value")
+    order = np.argsort(ids, kind="stable")
+    ids, p, t = ids[order], p[order], t[order]
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    groups = [{"id": gid, "pred_mean": float(gp.mean()), "truth_mean": float(gt.mean()),
+               "pred_stderr": _stderr(gp), "truth_stderr": _stderr(gt)}
+              for gid, gp, gt in zip(ids[starts], np.split(p, starts[1:]),
+                                     np.split(t, starts[1:]))]
+    pm = [g["pred_mean"] for g in groups]
+    tm = [g["truth_mean"] for g in groups]
+    return {"rmse": rmse(pm, tm), "ncc": _defined(ncc, pm, tm),
+            "kt": _defined(kendall_tau, pm, tm), "n_trials": p.size, "groups": groups}

@@ -65,16 +65,19 @@ class FeatConfig:
     fmax_hz: float | None = None  # None: Nyquist
     log_floor: float = 1e-10
 
-    def validate(self, sr: int) -> None:
-        fmax = self.fmax_hz if self.fmax_hz is not None else sr / 2.0
+    def __post_init__(self):
         if self.n_mels <= 0:
             raise ValueError("n_mels must be positive")
-        if not (self.fmin_hz < fmax <= sr / 2.0):
-            raise ValueError("need fmin_hz < fmax_hz <= sample_rate/2")
         if self.window_ms < self.hop_ms:
             raise ValueError("window_ms must be >= hop_ms")
         if self.log_floor <= 0:
             raise ValueError("log_floor must be positive")
+
+    def validate(self, sr: int) -> None:
+        """The checks that depend on the sample rate."""
+        fmax = self.fmax_hz if self.fmax_hz is not None else sr / 2.0
+        if not (self.fmin_hz < fmax <= sr / 2.0):
+            raise ValueError("need fmin_hz < fmax_hz <= sample_rate/2")
 
     def window_samples(self, sr: int) -> int:
         return int(round(self.window_ms * sr / 1000.0))

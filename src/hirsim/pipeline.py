@@ -85,7 +85,10 @@ def _from_json(raw, cls, where: str):
             name = hint if typing.get_args(hint) else hint.__name__
             raise ValueError(f"{where}: {key!r} must be {name}")
         kwargs[key] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from e
 
 
 def load_config(path) -> PipelineConfig:
@@ -337,6 +340,10 @@ def run_fit(scores_path, manifest_path, params_path, cfg: PipelineConfig) -> cal
     return params
 
 
+GROUPINGS = ("listener", "system")
+GROUP_STATS = ("pred_mean", "truth_mean", "pred_stderr", "truth_stderr")
+
+
 def run_eval(scores_path, manifest_path, params_path, out_dir,
              cfg: PipelineConfig) -> dict:
     """Evaluate on the eval split; writes report.json and the listener-wise
@@ -352,32 +359,25 @@ def run_eval(scores_path, manifest_path, params_path, out_dir,
 
     truth = np.array([r.correctness for r in rows])
     mapped = calib.logistic(raw, params)
-    trial = calib.trial_report(mapped, truth, kt_scores=raw)
-    listener = calib.group_aggregate(
-        [(r.listener_id, m, r.correctness) for r, m in zip(rows, mapped)], "listener")
-    system = calib.group_aggregate(
-        [(r.system_id, m, r.correctness) for r, m in zip(rows, mapped)], "system")
-
     report = {
         "level": cfg.level,
         "params": {"a": params.a, "b": params.b},
-        "trial": trial.to_dict(),
+        "trial": {**calib.metrics(mapped, truth, kt_scores=raw),
+                  "n_trials": len(rows), "grouping": "trial"},
         # raw-score metrics labelled separately: no logistic mapping applied
-        "trial_raw": {"rmse": calib.rmse(raw, truth), "ncc": calib.ncc(raw, truth),
-                      "kt": calib.kendall_tau(raw, truth)},
-        "listener": listener.to_dict(),
-        "system": system.to_dict(),
+        "trial_raw": calib.metrics(raw, truth),
         "n_dropped": n_dropped,
     }
+    for by in GROUPINGS:
+        ids = [getattr(r, f"{by}_id") for r in rows]
+        report[by] = {**calib.group_aggregate(ids, mapped, truth), "grouping": by}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    for name, rep in (("listener", listener), ("system", system)):
-        with (out / f"report_{name}.csv").open("w", newline="") as f:
+    for by in GROUPINGS:
+        with (out / f"report_{by}.csv").open("w", newline="") as f:
             w = csv.writer(f)
-            w.writerow([name, "pred_mean", "truth_mean", "pred_stderr", "truth_stderr"])
-            for gid, pm, tm, ps, ts in zip(rep.group_ids, rep.group_pred_means,
-                                           rep.group_truth_means, rep.group_pred_stderr,
-                                           rep.group_truth_stderr):
-                w.writerow([gid, f"{pm:.12g}", f"{tm:.12g}", f"{ps:.12g}", f"{ts:.12g}"])
+            w.writerow([by, *GROUP_STATS])
+            w.writerows([g["id"], *(f"{g[k]:.12g}" for k in GROUP_STATS)]
+                        for g in report[by]["groups"])
     return report

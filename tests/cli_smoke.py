@@ -1,0 +1,92 @@
+"""Every CLI stage on a few small stereo WAVs, with numpy as the only dependency.
+
+    python tests/cli_smoke.py
+
+Writes 16-bit stereo WAVs with the stdlib `wave` module and a manifest of dev
+and eval trials into a temporary directory, then runs featurize, forward and,
+at every level, sim, fit, eval and report. Exits non-zero unless each command
+exits 0, every JSON output is strict JSON, and no scipy module was imported.
+"""
+
+import json
+import sys
+import tempfile
+import wave
+from pathlib import Path
+
+import numpy as np
+
+from hirsim import cli
+
+SR = 16000
+SNRS = (None, 10.0, 0.0)  # None: the clean reference itself
+
+
+def write_wav(path: Path, x: np.ndarray) -> None:
+    frames = np.round(np.clip(np.column_stack([x, 0.8 * x]), -1, 1) * 32767).astype("<i2")
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(2)
+        w.setsampwidth(2)
+        w.setframerate(SR)
+        w.writeframes(frames.tobytes())
+
+
+def build(root: Path) -> Path:
+    """4 signals x 3 noise levels; signals 0-1 are dev trials, 2-3 eval."""
+    rng = np.random.default_rng(0)
+    t = np.arange(6400) / SR
+    entries = []
+    for i in range(4):
+        phase = 2 * np.pi * (120.0 + 20.0 * i) * t
+        clean = 0.3 * (np.sin(phase) + 0.5 * np.sin(2 * phase)) * (0.6 + 0.4 * np.sin(6 * t + i))
+        write_wav(root / f"ref{i}.wav", clean)
+        for j, snr in enumerate(SNRS):
+            noise = 0.0 if snr is None else rng.standard_normal(t.size) * np.sqrt(
+                np.mean(clean ** 2) / 10 ** (snr / 10))
+            write_wav(root / f"proc{i}{j}.wav", clean + noise)
+            entries.append({
+                "signal_id": f"s{i}{j}", "listener_id": f"L{i % 2}", "system_id": f"S{j}",
+                "correctness": 0.85 - 0.3 * j + 0.03 * i, "split": "dev" if i < 2 else "eval",
+                "ref_left": f"ref{i}.wav", "ref_right": f"ref{i}.wav",
+                "proc_left": f"proc{i}{j}.wav", "proc_right": f"proc{i}{j}.wav",
+            })
+    manifest = root / "manifest.json"
+    manifest.write_text(json.dumps(entries))
+    return manifest
+
+
+def strict_json(path: Path) -> None:
+    def reject(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+    json.loads(path.read_text(), parse_constant=reject)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        base = ["--manifest", str(build(root)), "--cache-dir", str(root / "cache")]
+        commands = [["featurize"], ["forward"]]
+        for level in ("input", "pre", "enc", "dec"):
+            scores, params, out = (str(root / name.format(level))
+                                   for name in ("scores_{}.csv", "params_{}.json", "out_{}"))
+            commands += [["--level", level, "sim", "--scores", scores],
+                         ["--level", level, "fit", "--scores", scores, "--params", params],
+                         ["--level", level, "eval", "--scores", scores, "--params", params,
+                          "--out-dir", out],
+                         ["report", "--report", f"{out}/report.json"]]
+        for argv in commands:
+            rc = cli.main(base + argv)
+            if rc != cli.EXIT_OK:
+                print(f"hirsim {' '.join(argv)} exited {rc}", file=sys.stderr)
+                return 1
+        for path in sorted(root.rglob("*.json")):
+            strict_json(path)
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    if loaded:
+        print(f"scipy imported: {loaded}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares, minimize, minimize_scalar
 from scipy.special import expit
@@ -359,44 +359,112 @@ class TestKendallTau:
             kendall_tau([1, 2, 3], [1, 3, 2])
 
 
+def aggregate(recs):
+    """group_aggregate of (id, pred, truth) records."""
+    ids, pred, truth = zip(*recs)
+    return group_aggregate(ids, pred, truth)
+
+
+def group_oracle(ids, pred, truth):
+    """The group section from a dict of per-group lists."""
+    lists = {}
+    for gid, p, t in zip(ids, pred, truth):
+        lists.setdefault(gid, ([], []))
+        lists[gid][0].append(p)
+        lists[gid][1].append(t)
+
+    def stderr(v):
+        return float(v.std(ddof=1) / np.sqrt(v.size)) if v.size > 1 else 0.0
+
+    groups = []
+    for gid in sorted(lists):
+        ps, ts = (np.array(v) for v in lists[gid])
+        groups.append({"id": gid, "pred_mean": float(ps.mean()), "truth_mean": float(ts.mean()),
+                       "pred_stderr": stderr(ps), "truth_stderr": stderr(ts)})
+    pm = [g["pred_mean"] for g in groups]
+    tm = [g["truth_mean"] for g in groups]
+    defined = len(set(pm)) > 1 and len(set(tm)) > 1
+    return {"rmse": rmse(pm, tm), "ncc": ncc(pm, tm) if defined else None,
+            "kt": kendall_tau(pm, tm) if defined else None, "n_trials": len(ids),
+            "groups": groups}
+
+
+@st.composite
+def grouped_trials(draw):
+    """(ids, pred, truth): ids from st.text(), as one group, all singletons
+    or a few shared groups; values on a coarse grid, so that means tie, or
+    anywhere in [1e-3, 1]."""
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["one", "singletons", "shared"]))
+    if shape == "one":
+        ids = [draw(st.text())] * n
+    elif shape == "singletons":
+        ids = draw(st.lists(st.text(), min_size=n, max_size=n, unique=True))
+    else:
+        pool = draw(st.lists(st.text(), min_size=1, max_size=6, unique=True))
+        ids = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    value = st.one_of(st.integers(0, 8).map(lambda k: k / 8), st.floats(1e-3, 1.0))
+    pred = draw(st.lists(value, min_size=n, max_size=n))
+    truth = draw(st.lists(value, min_size=n, max_size=n))
+    return ids, pred, truth
+
+
 class TestGroupAggregate:
     def test_single_group_mean(self):
         recs = [("L1", 0.2, 0.4), ("L1", 0.4, 0.6)]
-        rep = group_aggregate(recs, "listener")
-        assert rep.group_pred_means == (pytest.approx(0.3),)
-        assert rep.group_truth_means == (pytest.approx(0.5),)
-        assert np.isnan(rep.ncc)
+        rep = aggregate(recs)
+        assert [g["pred_mean"] for g in rep["groups"]] == [pytest.approx(0.3)]
+        assert [g["truth_mean"] for g in rep["groups"]] == [pytest.approx(0.5)]
+        assert rep["ncc"] is None
 
     def test_size_one_groups_zero_stderr(self):
         recs = [("L1", 0.2, 0.3), ("L2", 0.8, 0.9)]
-        rep = group_aggregate(recs, "listener")
-        assert rep.group_pred_stderr == (0.0, 0.0)
+        rep = aggregate(recs)
+        assert [g["pred_stderr"] for g in rep["groups"]] == [0.0, 0.0]
 
     def test_two_group_hand_arithmetic(self):
         recs = [("A", 0.2, 0.25), ("A", 0.4, 0.35), ("B", 0.8, 0.8)]
-        rep = group_aggregate(recs, "system")
-        assert rep.group_pred_means == (pytest.approx(0.3), pytest.approx(0.8))
+        rep = aggregate(recs)
+        assert [g["pred_mean"] for g in rep["groups"]] == [pytest.approx(0.3), pytest.approx(0.8)]
         want = np.sqrt(((0.3 - 0.3) ** 2 + (0.8 - 0.8) ** 2) / 2)
-        assert rep.rmse == pytest.approx(want)
+        assert rep["rmse"] == pytest.approx(want)
 
     def test_singleton_groups_reproduce_trial_metrics(self, rng):
         pred = rng.uniform(0, 1, 12)
         truth = rng.uniform(0, 1, 12)
         recs = [(f"g{i}", p, t) for i, (p, t) in enumerate(zip(pred, truth))]
-        rep = group_aggregate(recs, "listener")
-        assert rep.rmse == pytest.approx(calib.rmse(pred, truth))
-        assert rep.ncc == pytest.approx(calib.ncc(pred, truth), abs=1e-12)
-        assert rep.kt == pytest.approx(calib.kendall_tau(pred, truth))
+        rep = aggregate(recs)
+        assert rep["rmse"] == pytest.approx(calib.rmse(pred, truth))
+        assert rep["ncc"] == pytest.approx(calib.ncc(pred, truth), abs=1e-12)
+        assert rep["kt"] == pytest.approx(calib.kendall_tau(pred, truth))
 
     def test_single_group_correlations_are_null_in_json(self):
-        rep = group_aggregate([("L1", 0.2, 0.4), ("L1", 0.4, 0.6)], "listener")
-        d = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
+        rep = aggregate([("L1", 0.2, 0.4), ("L1", 0.4, 0.6)])
+        d = json.loads(json.dumps(rep, allow_nan=False))
         assert d["ncc"] is None and d["kt"] is None
         assert d["rmse"] == pytest.approx(0.2)
 
-    def test_unknown_grouping(self):
-        with pytest.raises(MetricError):
-            group_aggregate([("a", 0.1, 0.2)], "scene")
+    @pytest.mark.parametrize("pred, truth", [
+        ([0.2, 0.9, 0.1, 0.3], [0.4, 0.6, 0.6, 0.4]),  # truth means 0.5 and 0.5
+        ([0.2, 0.4, 0.4, 0.2], [0.1, 0.2, 0.5, 0.6]),  # pred means 0.3 and 0.3
+    ], ids=["tied-truth-means", "tied-pred-means"])
+    def test_tied_group_means_have_null_correlations(self, pred, truth):
+        rep = group_aggregate(["L0", "L0", "L1", "L1"], pred, truth)
+        assert rep["ncc"] is None and rep["kt"] is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(grouped_trials())
+    @example((["9", "10", "a\x00", "a", "é", "9"], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [0.2] * 6))
+    def test_matches_dict_of_lists_oracle(self, trials):
+        got = group_aggregate(*trials)
+        assert got == group_oracle(*trials)
+        json.dumps(got, allow_nan=False)
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(MetricError, match="one id per"):
+            group_aggregate(["a", "b"], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
+        with pytest.raises(MetricError, match="length >= 1"):
+            group_aggregate([], [], [])
 
 
 class TestNonFiniteInput:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -386,6 +387,45 @@ class TestSimFitEval:
                 (tmp_path / "labelled" / name).read_bytes()
         assert json.loads((tmp_path / "partly" / "report.json").read_text())["n_dropped"] == 2
 
+    def test_group_csvs_hold_the_report_groups(self, eval_run, tmp_path):
+        manifest, scores, params, cfg = eval_run
+        pipeline.run_eval(scores, manifest, params, tmp_path, cfg)
+        report = json.loads((tmp_path / "report.json").read_text())
+        stats = ["pred_mean", "truth_mean", "pred_stderr", "truth_stderr"]
+        for by in ("listener", "system"):
+            with (tmp_path / f"report_{by}.csv").open(newline="") as f:
+                header, *rows = csv.reader(f)
+            assert header == [by, *stats]
+            groups = report[by]["groups"]
+            assert len(groups) >= 2
+            assert rows == [[g["id"], *(f"{g[k]:.12g}" for k in stats)] for g in groups]
+
+    def test_tied_group_means_evaluate_with_null_correlations(self, tmp_path, capsys):
+        # both listeners' eval trials average 0.5
+        m = self_manifest(tmp_path / "d", n=1)
+        (entry,) = json.loads(m.read_text())
+        dev = [(0.2, 0.3), (0.4, 0.5), (0.6, 0.7), (0.8, 0.9)]
+        ev = [(0.4, 0.35), (0.6, 0.65), (0.6, 0.55), (0.4, 0.45)]
+        entries = [dict(entry, signal_id=f"{split}{i}", listener_id=f"L{i % 2}",
+                        correctness=wcs, split=split)
+                   for split, trials in (("dev", dev), ("eval", ev))
+                   for i, (wcs, _) in enumerate(trials)]
+        m.write_text(json.dumps(entries))
+        scores = write_scores(tmp_path / "s.csv", [(e["signal_id"], e["listener_id"], raw)
+                                                   for e, (_, raw) in zip(entries, dev + ev)])
+        base = ["--manifest", str(m), "--level", "enc"]
+        params, out = str(tmp_path / "p.json"), tmp_path / "out"
+        assert cli.main(base + ["fit", "--scores", str(scores), "--params", params]) == cli.EXIT_OK
+        assert cli.main(base + ["eval", "--scores", str(scores), "--params", params,
+                                "--out-dir", str(out)]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "report.json").read_text())
+        assert [g["truth_mean"] for g in report["listener"]["groups"]] == [0.5, 0.5]
+        assert report["listener"]["ncc"] is None and report["listener"]["kt"] is None
+        assert report["system"]["ncc"] is None  # one system
+        assert all(np.isfinite(report[s][k]) for s in ("trial", "trial_raw")
+                   for k in ("rmse", "ncc", "kt"))
+
     def test_eval_without_labels_raises(self, eval_run, tmp_path):
         manifest, scores, params, cfg = eval_run
         entries = json.loads(Path(manifest).read_text())
@@ -400,10 +440,10 @@ class TestSimFitEval:
     def test_perfect_predictions_metrics(self):
         from hirsim import calib
         truth = np.array([0.1, 0.4, 0.7, 0.9])
-        rep = calib.trial_report(truth, truth)
-        assert rep.rmse == 0.0
-        assert abs(rep.ncc - 1.0) < 1e-12
-        assert rep.kt == 1.0
+        rep = calib.metrics(truth, truth)
+        assert rep["rmse"] == 0.0
+        assert abs(rep["ncc"] - 1.0) < 1e-12
+        assert rep["kt"] == 1.0
 
 
 class TestCli:
@@ -511,6 +551,21 @@ class TestCli:
         assert err.startswith(f"data error: config {cfg_path}") and cause in err
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("config, cause", [
+        ({"level": "bogus"}, ": unknown level 'bogus'"),
+        ({"asr": {"d_model": 30}}, ": 'asr': d_model must be divisible by n_heads"),
+        ({"feat": {"n_mels": -3}}, ": 'feat': n_mels must be positive"),
+    ], ids=["level", "asr-d-model", "feat-n-mels"])
+    def test_invalid_config_value_names_the_config(self, tmp_path, capsys, config, cause):
+        # an empty manifest: the config is rejected before any work
+        cfg_path, m = tmp_path / "cfg.json", tmp_path / "manifest.json"
+        cfg_path.write_text(json.dumps(config))
+        m.write_text("[]")
+        rc = cli.main(["--config", str(cfg_path), "--manifest", str(m),
+                       "--cache-dir", str(tmp_path / "c"), "featurize"])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: config {cfg_path}{cause}\n"
+
     def test_scores_without_raw_score_column_is_data_error(self, tmp_path, capsys):
         scores = write_scores(tmp_path / "s.csv", [("c0", "L0", 0.9)],
                               header="signal_id,listener_id,system_id,level,score,zero_norm_frames")
@@ -572,6 +627,21 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src}).stdout
         assert out == "[]\n"
+
+    def test_smoke_script_runs_every_stage_without_scipy(self):
+        # tests/cli_smoke.py is the numpy-only CI job's end-to-end check
+        code = ("import runpy, sys\n"
+                "class NoScipy:\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        if name.split('.')[0] == 'scipy':\n"
+                "            raise ImportError(f'no module named {name!r}')\n"
+                "sys.meta_path.insert(0, NoScipy())\n"
+                "runpy.run_path(sys.argv[1], run_name='__main__')\n")
+        src, script = str(Path(pipeline.__file__).parents[1]), Path(__file__).with_name("cli_smoke.py")
+        run = subprocess.run([sys.executable, "-c", code, str(script)], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.count("level: dec") == 2
 
     def test_config_file_loading(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
