@@ -192,16 +192,13 @@ def mel_filterbank(cfg: FeatConfig, sr: int) -> np.ndarray:
     mel_pts = np.linspace(hz_to_mel(cfg.fmin_hz), hz_to_mel(fmax), cfg.n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
     bin_hz = np.arange(n_fft // 2 + 1) * sr / n_fft
-    fb = np.zeros((cfg.n_mels, len(bin_hz)))
-    for k in range(cfg.n_mels):
-        lo, ctr, hi = hz_pts[k], hz_pts[k + 1], hz_pts[k + 2]
-        up = (bin_hz - lo) / (ctr - lo)
-        down = (hi - bin_hz) / (hi - ctr)
-        fb[k] = np.maximum(0.0, np.minimum(up, down))
-        if not np.any(fb[k] > 0):
-            raise ValueError(
-                f"mel band {k} covers no FFT bin; increase fft_size or reduce n_mels"
-            )
+    lo, ctr, hi = (hz_pts[k:k + cfg.n_mels, None] for k in range(3))
+    fb = np.maximum(0.0, np.minimum((bin_hz - lo) / (ctr - lo), (hi - bin_hz) / (hi - ctr)))
+    empty = np.flatnonzero(~np.any(fb > 0, axis=1))
+    if empty.size:
+        raise ValueError(
+            f"mel band {empty[0]} covers no FFT bin; increase fft_size or reduce n_mels"
+        )
     fb.setflags(write=False)
     return fb
 

@@ -160,8 +160,7 @@ def _rep_path(cache: Path, input_key: str, level: str, asr_cfg: asr.ToyAsrConfig
 
 def run_featurize(manifest_path, cache_dir, cfg: PipelineConfig) -> StageResult:
     """Compute the input-level .hrep of every distinct (source bytes, channel)."""
-    records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent,
-                                 lenient=cfg.lenient)
+    records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent)
     cache = Path(cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
     result = StageResult()
@@ -193,8 +192,7 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
                 levels=("pre", "enc", "dec")) -> StageResult:
     """Run the toy model on every distinct input-level .hrep, writing the
     requested hidden-representation levels."""
-    records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent,
-                                 lenient=True)
+    records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent)
     cache = Path(cache_dir)
     result = StageResult()
     levels = tuple(levels)
@@ -242,8 +240,7 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
     Each distinct .hrep is read once and each distinct (ref, proc) tuple of
     four input keys is scored once; both are held only until their last use.
     """
-    records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent,
-                                 lenient=True)
+    records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent)
     cache = Path(cache_dir)
     result = StageResult()
     rows = []
@@ -306,7 +303,7 @@ def _labelled(scores_path, manifest_path, cfg: PipelineConfig, splits) -> tuple:
     """The manifest records and raw scores of the score rows in `splits`
     whose correctness is known, and the number of rows in `splits` whose
     correctness is not (NaN), which carry nothing to fit or score against."""
-    records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent, lenient=True)
+    records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent)
     by_key = {(r.signal_id, r.listener_id): r for r in records}
     labelled, raw, n_rows = [], [], 0
     for row in read_scores(scores_path):

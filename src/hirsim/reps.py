@@ -180,13 +180,12 @@ _REQUIRED_KEYS = (
 )
 
 
-def load_manifest(path, wcs_percent: bool = False, lenient: bool = False) -> list[TrialRecord]:
+def load_manifest(path, wcs_percent: bool = False) -> list[TrialRecord]:
     """Load and validate a JSON trial manifest.
 
     With wcs_percent, correctness values on a 0-100 scale are divided by 100.
-    Strict mode checks that each distinct referenced path exists, once, and
-    raises on the first missing one; lenient mode does not check (the stages
-    report unreadable files when they read them).
+    Source files are not looked at here: the stage that reads one reports it
+    if it is missing or unreadable.
     """
     entries = read_json(path, "manifest")
     if not isinstance(entries, list):
@@ -221,23 +220,10 @@ def load_manifest(path, wcs_percent: bool = False, lenient: bool = False) -> lis
             raise FormatError(f"{path}: duplicate (signal_id, listener_id) pair {key}")
         seen.add(key)
         records.append(rec)
-
-    if not lenient:
-        exists: dict[str, bool] = {}
-        for rec in records:
-            for p in (rec.ref_left, rec.ref_right, rec.proc_left, rec.proc_right):
-                if p not in exists:
-                    exists[p] = _locate(path, p) is not None
-                if not exists[p]:
-                    raise FormatError(f"{path}: trial {rec.signal_id} references missing file {p}")
     return records
 
 
-def _locate(manifest_path, ref: str) -> Path | None:
-    """The first of <manifest dir>/ref and ref that exists, or None."""
-    return next((p for p in (Path(manifest_path).parent / ref, Path(ref)) if p.exists()), None)
-
-
 def resolve_path(manifest_path, ref: str) -> Path:
-    """Resolve a manifest-relative path, falling back to the raw path."""
-    return _locate(manifest_path, ref) or Path(ref)
+    """<manifest dir>/ref if it exists, else ref as given."""
+    local = Path(manifest_path).parent / ref
+    return local if local.exists() else Path(ref)

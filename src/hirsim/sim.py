@@ -62,15 +62,13 @@ def cosine(h: np.ndarray, h_hat: np.ndarray) -> float:
         raise ValueError("dimension mismatch")
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(h_hat))):
         raise ValueError("non-finite input")
-    na = np.linalg.norm(h)
-    nb = np.linalg.norm(h_hat)
-    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
-        return 0.0
-    return float(np.dot(h, h_hat) / (na * nb))
+    return float(_cosine_rows(h, h_hat)[0])
 
 
 def _cosine_rows(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, int]:
-    """Row-by-row cosines of two (..., T, d) stacks; counts zero-norm frames."""
+    """Cosines over the last axis of two broadcastable stacks, and how many
+    were taken as 0 because one of the two vectors has zero norm. The one
+    place a cosine is computed."""
     na = np.linalg.norm(A, axis=-1)
     nb = np.linalg.norm(B, axis=-1)
     zero = (na < ZERO_NORM_EPS) | (nb < ZERO_NORM_EPS)
@@ -108,16 +106,7 @@ def framewise_binaural_sim(ref: BinauralRep, proc: BinauralRep) -> SimilaritySco
 # ---------------------------------------------------------------------------
 
 def _cost_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    na = np.linalg.norm(A, axis=1)
-    nb = np.linalg.norm(B, axis=1)
-    az = na < ZERO_NORM_EPS
-    bz = nb < ZERO_NORM_EPS
-    na = np.where(az, 1.0, na)
-    nb = np.where(bz, 1.0, nb)
-    cos = (A / na[:, None]) @ (B / nb[:, None]).T
-    cos[az, :] = 0.0
-    cos[:, bz] = 0.0
-    return 1.0 - cos
+    return 1.0 - _cosine_rows(A[:, None], B[None])[0]
 
 
 def path_cost(A: np.ndarray, B: np.ndarray, path: WarpPath) -> float:
@@ -125,21 +114,13 @@ def path_cost(A: np.ndarray, B: np.ndarray, path: WarpPath) -> float:
     return float(sum(C[i, j] for i, j in path.pairs))
 
 
-def _dtw_window(A: np.ndarray, B: np.ndarray,
-                window: list[tuple[int, int]] | None) -> WarpPath:
-    """DP over an index window (None = full matrix); tie-break prefers the
-    diagonal step, then the i-advance."""
+def _dtw_window(A: np.ndarray, B: np.ndarray, allowed: np.ndarray | None) -> WarpPath:
+    """DP over the cells a boolean (T1, T2) mask allows (None = full matrix);
+    tie-break prefers the diagonal step, then the i-advance."""
     t1, t2 = A.shape[0], B.shape[0]
     C = _cost_matrix(A, B)
     INF = np.inf
     D = np.full((t1, t2), INF)
-    allowed = None
-    if window is not None:
-        allowed = np.zeros((t1, t2), dtype=bool)
-        for i, j in window:
-            allowed[i, j] = True
-        allowed[0, 0] = True
-        allowed[t1 - 1, t2 - 1] = True
     for i in range(t1):
         for j in range(t2):
             if allowed is not None and not allowed[i, j]:
@@ -196,21 +177,14 @@ def _coarsen(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expand_window(path: WarpPath, t1: int, t2: int, radius: int) -> list[tuple[int, int]]:
-    """Project a coarse path to the finer grid and widen it by the radius."""
-    cells = set()
+def _expand_window(path: WarpPath, t1: int, t2: int, radius: int) -> np.ndarray:
+    """Project a coarse path to the finer grid and widen it by the radius:
+    a (t1, t2) mask of the cells within `radius` of a coarse cell's 2x2 block."""
+    mask = np.zeros((t1, t2), dtype=bool)
     for ci, cj in path.pairs:
-        for i in (2 * ci, 2 * ci + 1):
-            for j in (2 * cj, 2 * cj + 1):
-                cells.add((i, j))
-    window = set()
-    for i, j in cells:
-        for di in range(-radius, radius + 1):
-            for dj in range(-radius, radius + 1):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < t1 and 0 <= jj < t2:
-                    window.add((ii, jj))
-    return sorted(window)
+        mask[max(2 * ci - radius, 0):2 * ci + 2 + radius,
+             max(2 * cj - radius, 0):2 * cj + 2 + radius] = True
+    return mask
 
 
 def dtw_path_fast(H, H_hat, radius: int = DEFAULT_RADIUS) -> WarpPath:
@@ -245,18 +219,18 @@ def warped_sim(H, H_hat, path: WarpPath) -> tuple[float, int]:
 
 def binaural_warped_sim(ref: BinauralRep, proc: BinauralRep,
                         radius: int = DEFAULT_RADIUS) -> SimilarityScore:
-    """Max over the four channel pairings of DTW-aligned mean cosine."""
+    """Max over the four channel pairings of DTW-aligned mean cosine;
+    zero-norm frames are summed over all four pairings, as framewise."""
     if ref.level != "dec" or proc.level != "dec":
         raise SimilarityError("binaural_warped_sim applies to decoder-level sequences")
     best = -np.inf
-    best_zero = 0
+    zero_norm = 0
     for a in (ref.left, ref.right):
         for b in (proc.left, proc.right):
-            path = dtw_path_fast(a, b, radius)
-            val, zero = warped_sim(a, b, path)
-            if val > best:
-                best, best_zero = val, zero
-    return SimilarityScore(value=float(best), level="dec", zero_norm_frames=best_zero)
+            val, zero = warped_sim(a, b, dtw_path_fast(a, b, radius))
+            best = max(best, val)
+            zero_norm += zero
+    return SimilarityScore(value=float(best), level="dec", zero_norm_frames=zero_norm)
 
 
 def binaural_similarity(ref: BinauralRep, proc: BinauralRep,

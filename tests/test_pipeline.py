@@ -123,6 +123,22 @@ class TestFeaturize:
         assert len(res.failures) == 1
         assert res.written > 0
 
+    def test_strict_missing_source_names_stage_and_trial(self, tmp_path, capsys):
+        m = self_manifest(tmp_path / "d", n=2)
+        entries = json.loads(m.read_text())
+        entries[1]["proc_left"] = "audio/nope.wav"
+        m.write_text(json.dumps(entries))
+        base = ["--manifest", str(m), "--cache-dir", str(tmp_path / "c")]
+        capsys.readouterr()
+        assert cli.main(base + ["featurize"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.search(r"featurize failed for c1: \[Errno 2\] .*audio/nope\.wav", err), err
+        # both channels of clean0 and clean1 were written before the missing
+        # file was reached; a rerun reuses them
+        assert len(list((tmp_path / "c").iterdir())) == 4
+        res = pipeline.run_featurize(m, tmp_path / "c", PipelineConfig(lenient=True))
+        assert (res.written, res.skipped, len(res.failures)) == (0, 4, 1)
+
 
 class TestForward:
     def test_deterministic_bytes(self, dataset, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,14 +140,8 @@ class TestManifest:
         with pytest.raises(FormatError, match="duplicate"):
             load_manifest(p)
 
-    def test_missing_file_strict_vs_lenient(self, tmp_path):
-        p = _write_manifest(tmp_path, [_entry(0, ref_left="gone.wav")])
-        with pytest.raises(FormatError, match="missing file"):
-            load_manifest(p)
-        recs = load_manifest(p, lenient=True)
-        assert len(recs) == 1
-
-    def test_existence_checked_once_per_path_and_only_when_strict(self, tmp_path, monkeypatch):
+    def test_source_files_are_not_statted(self, tmp_path, monkeypatch):
+        # a missing source is the reading stage's error, not the manifest's
         entries = [_entry(i) for i in range(5)] + [_entry(5, proc_left="gone.wav")]
         p = _write_manifest(tmp_path, entries)
         stat, stats = os.stat, []
@@ -156,14 +151,14 @@ class TestManifest:
             return stat(path, *args, **kwargs)
 
         monkeypatch.setattr(os, "stat", counting_stat)
-        recs = load_manifest(p, lenient=True)
+        recs = load_manifest(p)
         assert stats == []
         assert [r.signal_id for r in recs] == [f"s{i}" for i in range(6)]
-        with pytest.raises(FormatError, match="trial s5 references missing file gone.wav"):
-            load_manifest(p)
-        # found beside the manifest, or looked for there and then as given
-        assert sorted(stats) == sorted(
-            [str(tmp_path / "r.wav"), str(tmp_path / "p.wav"), str(tmp_path / "gone.wav"), "gone.wav"])
+
+    def test_resolve_path_prefers_the_manifest_dir(self, tmp_path):
+        p = _write_manifest(tmp_path, [])
+        assert reps.resolve_path(p, "r.wav") == tmp_path / "r.wav"
+        assert reps.resolve_path(p, "gone.wav") == Path("gone.wav")
 
     def test_missing_key(self, tmp_path):
         e = _entry(0)

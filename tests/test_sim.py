@@ -204,6 +204,50 @@ class TestDtwFast:
         assert p.pairs[-1] == (32, 46)
 
 
+def expand_window_sets(path, t1, t2, radius):
+    """Reference: the fast-DTW corridor built as a set of (i, j) cells."""
+    cells = set()
+    for ci, cj in path.pairs:
+        for i in (2 * ci, 2 * ci + 1):
+            for j in (2 * cj, 2 * cj + 1):
+                cells.add((i, j))
+    window = set()
+    for i, j in cells:
+        for di in range(-radius, radius + 1):
+            for dj in range(-radius, radius + 1):
+                ii, jj = i + di, j + dj
+                if 0 <= ii < t1 and 0 <= jj < t2:
+                    window.add((ii, jj))
+    return sorted(window)
+
+
+def random_path(rng, c1, c2):
+    """A random valid warp path from (0, 0) to (c1 - 1, c2 - 1)."""
+    pairs = [(0, 0)]
+    i = j = 0
+    while (i, j) != (c1 - 1, c2 - 1):
+        steps = [(di, dj) for di, dj in ((1, 0), (0, 1), (1, 1))
+                 if i + di < c1 and j + dj < c2]
+        di, dj = steps[rng.integers(len(steps))]
+        i, j = i + di, j + dj
+        pairs.append((i, j))
+    return WarpPath(tuple(pairs))
+
+
+class TestExpandWindow:
+    def test_mask_equals_set_reference(self, rng):
+        for radius in range(13):
+            for _ in range(4):
+                t1, t2 = (int(t) for t in rng.integers(2, 41, size=2))
+                # the coarse grid of _coarsen: odd lengths keep their last frame
+                path = random_path(rng, (t1 + 1) // 2, (t2 + 1) // 2)
+                mask = sim._expand_window(path, t1, t2, radius)
+                assert mask.shape == (t1, t2)
+                assert list(zip(*np.nonzero(mask))) == expand_window_sets(path, t1, t2, radius)
+                # _dtw_window relies on the corridor holding both endpoints
+                assert mask[0, 0] and mask[-1, -1]
+
+
 class TestWarpedSim:
     def test_self_with_diagonal(self, rng):
         A = rng.normal(size=(6, 4))
@@ -266,6 +310,17 @@ class TestBinauralWarped:
         b = make_binaural(rng, 5, 3, level="enc")
         with pytest.raises(SimilarityError):
             binaural_warped_sim(b, b)
+
+    def test_zero_norm_frames_summed_over_pairings(self, rng):
+        chans = [rng.normal(size=(t, 5)).astype(np.float32) for t in (30, 24, 27, 33)]
+        for c, rows in zip(chans, ([0, 4, 5], [], [2, 20], [31])):
+            c[rows] = 0.0
+        ref = BinauralRep(left=rep(chans[0], "dec", "left"), right=rep(chans[1], "dec", "right"))
+        proc = BinauralRep(left=rep(chans[2], "dec", "left"), right=rep(chans[3], "dec", "right"))
+        per_pairing = [warped_sim(a, b, dtw_path_fast(a, b, 3))[1]
+                       for a in (ref.left, ref.right) for b in (proc.left, proc.right)]
+        assert sum(per_pairing) > max(per_pairing)
+        assert binaural_warped_sim(ref, proc, radius=3).zero_norm_frames == sum(per_pairing)
 
 
 class TestInvariants:
