@@ -94,17 +94,13 @@ class AttentionParams:
     W_o: np.ndarray  # (n_heads * d_v, d_model)
 
     @classmethod
-    def from_seed(cls, seed_tag: int, name: str, n_heads: int, d_model: int,
-                  d_k: int | None = None, d_v: int | None = None) -> "AttentionParams":
-        d_k = d_k if d_k is not None else d_model // n_heads
-        d_v = d_v if d_v is not None else d_model // n_heads
-        W_q = np.stack([det_weight(_name_tag(seed_tag, f"{name}.q{h}"), d_model, d_k)
-                        for h in range(n_heads)])
-        W_k = np.stack([det_weight(_name_tag(seed_tag, f"{name}.k{h}"), d_model, d_k)
-                        for h in range(n_heads)])
-        W_v = np.stack([det_weight(_name_tag(seed_tag, f"{name}.v{h}"), d_model, d_v)
-                        for h in range(n_heads)])
-        W_o = det_weight(_name_tag(seed_tag, f"{name}.o"), n_heads * d_v, d_model)
+    def from_seed(cls, seed_tag: int, name: str, n_heads: int, d_model: int) -> "AttentionParams":
+        d_head = d_model // n_heads  # d_k = d_v
+        W_q, W_k, W_v = (
+            np.stack([det_weight(_name_tag(seed_tag, f"{name}.{w}{h}"), d_model, d_head)
+                      for h in range(n_heads)])
+            for w in "qkv")
+        W_o = det_weight(_name_tag(seed_tag, f"{name}.o"), n_heads * d_head, d_model)
         return cls(W_q, W_k, W_v, W_o)
 
 
@@ -209,11 +205,15 @@ class ToyAsrConfig:
     seed_tag: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "prenet_channels", tuple(self.prenet_channels))
+        for name, least in (("d_model", 1), ("n_heads", 1), ("max_decode_len", 1),
+                            ("n_enc_blocks", 0), ("n_dec_blocks", 0), ("vocab_size", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
+        if min(self.prenet_channels, default=1) < 1:
+            raise ValueError("every prenet_channels entry must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if self.vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
-        object.__setattr__(self, "prenet_channels", tuple(self.prenet_channels))
 
     @property
     def end_symbol(self) -> int:

@@ -34,19 +34,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--level", choices=list(reps.LEVELS), help="representation level")
     p.add_argument("--dtw-radius", type=int, help="fast-DTW corridor radius")
-    p.add_argument("--fit-split", choices=["dev", "train_all"],
+    p.add_argument("--fit-split", choices=list(pipeline.FIT_SPLITS),
                    help="split the logistic mapping is fitted on")
-    p.add_argument("--wcs-percent", action="store_true",
+    p.add_argument("--wcs-percent", action="store_true", default=None,
                    help="manifest correctness is on a 0-100 scale")
-    p.add_argument("--lenient", action="store_true",
+    p.add_argument("--lenient", action="store_true", default=None,
                    help="report per-trial failures instead of aborting")
 
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("featurize", help="compute input-level log-mel representations")
     sp = sub.add_parser("forward", help="run the toy ASR over cached input representations")
-    sp.add_argument("--levels", default="pre,enc,dec",
-                    help="comma-separated levels to write (subset of pre,enc,dec)")
+    sp.add_argument("--levels", default=",".join(pipeline.MODEL_LEVELS),
+                    help="comma-separated levels to write (subset of %(default)s)")
     sp = sub.add_parser("sim", help="score every trial at the chosen level")
     sp.add_argument("--scores", default="scores.csv", help="output CSV path")
     sp = sub.add_parser("fit", help="fit the logistic calibration mapping")
@@ -61,19 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# PipelineConfig fields a global flag of the same name overrides when given
+_CONFIG_FLAGS = ("level", "dtw_radius", "fit_split", "wcs_percent", "lenient")
+
+
 def _make_config(args) -> pipeline.PipelineConfig:
     cfg = pipeline.load_config(args.config) if args.config else pipeline.PipelineConfig()
-    overrides = {}
-    if args.level is not None:
-        overrides["level"] = args.level
-    if args.dtw_radius is not None:
-        overrides["dtw_radius"] = args.dtw_radius
-    if args.fit_split is not None:
-        overrides["fit_split"] = args.fit_split
-    if args.wcs_percent:
-        overrides["wcs_percent"] = True
-    if args.lenient:
-        overrides["lenient"] = True
+    overrides = {k: getattr(args, k) for k in _CONFIG_FLAGS if getattr(args, k) is not None}
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 

@@ -68,6 +68,8 @@ class FeatConfig:
     def __post_init__(self):
         if self.n_mels <= 0:
             raise ValueError("n_mels must be positive")
+        if self.hop_ms <= 0:
+            raise ValueError("hop_ms must be positive")
         if self.window_ms < self.hop_ms:
             raise ValueError("window_ms must be >= hop_ms")
         if self.log_floor <= 0:
@@ -78,6 +80,8 @@ class FeatConfig:
         fmax = self.fmax_hz if self.fmax_hz is not None else sr / 2.0
         if not (self.fmin_hz < fmax <= sr / 2.0):
             raise ValueError("need fmin_hz < fmax_hz <= sample_rate/2")
+        if self.hop_samples(sr) < 1:  # the window is at least as long as the hop
+            raise ValueError(f"hop_ms {self.hop_ms} is under one sample at {sr} Hz")
 
     def window_samples(self, sr: int) -> int:
         return int(round(self.window_ms * sr / 1000.0))
@@ -183,14 +187,19 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _band_edges_hz(cfg: FeatConfig, sr: int) -> np.ndarray:
+    """The n_mels + 2 filter edges, equally spaced in mel from fmin_hz to
+    fmax_hz (default: Nyquist); band k peaks at edge k + 1."""
+    fmax = cfg.fmax_hz if cfg.fmax_hz is not None else sr / 2.0
+    return mel_to_hz(np.linspace(hz_to_mel(cfg.fmin_hz), hz_to_mel(fmax), cfg.n_mels + 2))
+
+
 @functools.lru_cache(maxsize=16)
 def mel_filterbank(cfg: FeatConfig, sr: int) -> np.ndarray:
     """Triangular unit-peak mel filters, (n_mels, fft_size//2 + 1); shared, read-only."""
     cfg.validate(sr)
     n_fft = cfg.effective_fft_size(sr)
-    fmax = cfg.fmax_hz if cfg.fmax_hz is not None else sr / 2.0
-    mel_pts = np.linspace(hz_to_mel(cfg.fmin_hz), hz_to_mel(fmax), cfg.n_mels + 2)
-    hz_pts = mel_to_hz(mel_pts)
+    hz_pts = _band_edges_hz(cfg, sr)
     bin_hz = np.arange(n_fft // 2 + 1) * sr / n_fft
     lo, ctr, hi = (hz_pts[k:k + cfg.n_mels, None] for k in range(3))
     fb = np.maximum(0.0, np.minimum((bin_hz - lo) / (ctr - lo), (hi - bin_hz) / (hi - ctr)))
@@ -204,9 +213,7 @@ def mel_filterbank(cfg: FeatConfig, sr: int) -> np.ndarray:
 
 
 def band_centers_hz(cfg: FeatConfig, sr: int) -> np.ndarray:
-    fmax = cfg.fmax_hz if cfg.fmax_hz is not None else sr / 2.0
-    mel_pts = np.linspace(hz_to_mel(cfg.fmin_hz), hz_to_mel(fmax), cfg.n_mels + 2)
-    return mel_to_hz(mel_pts)[1:-1]
+    return _band_edges_hz(cfg, sr)[1:-1]
 
 
 def logmel(signal_channel: np.ndarray, cfg: FeatConfig, sr: int,

@@ -35,6 +35,12 @@ DATA_ERRORS = (PipelineError, reps.FormatError, feats.AudioError, sim.Similarity
                calib.MetricError, asr.AsrError, OSError, ValueError)
 
 
+# the levels the toy model writes, from the input level's features
+MODEL_LEVELS = reps.LEVELS[1:]
+# fit_split name -> the manifest splits the logistic mapping is fitted on
+FIT_SPLITS = {"dev": ("dev",), "train_all": ("train", "dev")}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     feat: feats.FeatConfig = field(default_factory=feats.FeatConfig)
@@ -48,7 +54,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.level not in reps.LEVELS:
             raise ValueError(f"unknown level {self.level!r}")
-        if self.fit_split not in ("dev", "train_all"):
+        if self.fit_split not in FIT_SPLITS:
             raise ValueError(f"unknown fit_split {self.fit_split!r}")
         if self.dtw_radius < 0:
             raise ValueError("dtw_radius must be >= 0")
@@ -189,7 +195,7 @@ def run_featurize(manifest_path, cache_dir, cfg: PipelineConfig) -> StageResult:
 
 
 def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
-                levels=("pre", "enc", "dec")) -> StageResult:
+                levels=MODEL_LEVELS) -> StageResult:
     """Run the toy model on every distinct input-level .hrep, writing the
     requested hidden-representation levels."""
     records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent)
@@ -197,7 +203,7 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
     result = StageResult()
     levels = tuple(levels)
     for lv in levels:
-        if lv not in ("pre", "enc", "dec"):
+        if lv not in MODEL_LEVELS:
             raise PipelineError(f"forward cannot produce level {lv!r}")
 
     for signal_id, key, path, channel in _distinct(records, manifest_path, cfg):
@@ -321,7 +327,7 @@ def _labelled(scores_path, manifest_path, cfg: PipelineConfig, splits) -> tuple:
 
 def run_fit(scores_path, manifest_path, params_path, cfg: PipelineConfig) -> calib.LogisticParams:
     """Fit the logistic mapping on the configured split; never reads eval WCS."""
-    splits = ("dev",) if cfg.fit_split == "dev" else ("train", "dev")
+    splits = FIT_SPLITS[cfg.fit_split]
     recs, raw, n_dropped = _labelled(scores_path, manifest_path, cfg, splits)
     if not (recs or n_dropped):
         raise PipelineError(f"no trials in split(s) {splits} to fit on")

@@ -10,7 +10,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -174,12 +174,6 @@ def require_keys(obj, keys, where: str) -> dict:
     return obj
 
 
-_REQUIRED_KEYS = (
-    "signal_id", "listener_id", "system_id", "correctness",
-    "ref_left", "ref_right", "proc_left", "proc_right", "split",
-)
-
-
 def load_manifest(path, wcs_percent: bool = False) -> list[TrialRecord]:
     """Load and validate a JSON trial manifest.
 
@@ -191,10 +185,13 @@ def load_manifest(path, wcs_percent: bool = False) -> list[TrialRecord]:
     if not isinstance(entries, list):
         raise FormatError(f"{path}: manifest must be a JSON array")
 
+    names = [f.name for f in fields(TrialRecord)]
+    required = set(names)
     records = []
     seen = set()
     for i, entry in enumerate(entries):
-        require_keys(entry, _REQUIRED_KEYS, f"{path}: entry {i}")
+        if not (isinstance(entry, dict) and entry.keys() >= required):
+            require_keys(entry, names, f"{path}: entry {i}")  # names the first missing field
         wcs = entry["correctness"]
         if wcs is not None and (isinstance(wcs, bool) or not isinstance(wcs, (int, float))):
             raise FormatError(f"{path}: entry {i}: correctness {wcs!r} is not a number")
@@ -202,17 +199,7 @@ def load_manifest(path, wcs_percent: bool = False) -> list[TrialRecord]:
         if wcs_percent:
             wcs /= 100.0
         try:
-            rec = TrialRecord(
-                signal_id=str(entry["signal_id"]),
-                listener_id=str(entry["listener_id"]),
-                system_id=str(entry["system_id"]),
-                correctness=wcs,
-                ref_left=str(entry["ref_left"]),
-                ref_right=str(entry["ref_right"]),
-                proc_left=str(entry["proc_left"]),
-                proc_right=str(entry["proc_right"]),
-                split=str(entry["split"]),
-            )
+            rec = TrialRecord(*[wcs if k == "correctness" else str(entry[k]) for k in names])
         except ValueError as e:
             raise FormatError(f"{path}: entry {i}: {e}") from e
         key = (rec.signal_id, rec.listener_id)

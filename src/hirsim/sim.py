@@ -49,10 +49,6 @@ class WarpPath:
                 raise ValueError(f"invalid warp step ({di}, {dj})")
         object.__setattr__(self, "pairs", pairs)
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.pairs)
-
 
 def cosine(h: np.ndarray, h_hat: np.ndarray) -> float:
     """Cosine similarity; zero-norm vectors score 0 by definition."""
@@ -114,45 +110,32 @@ def path_cost(A: np.ndarray, B: np.ndarray, path: WarpPath) -> float:
     return float(sum(C[i, j] for i, j in path.pairs))
 
 
+# the predecessor steps a cell may come from, in tie-break order
+_STEPS = ((1, 1), (1, 0), (0, 1))
+
+
 def _dtw_window(A: np.ndarray, B: np.ndarray, allowed: np.ndarray | None) -> WarpPath:
     """DP over the cells a boolean (T1, T2) mask allows (None = full matrix);
-    tie-break prefers the diagonal step, then the i-advance."""
+    each cell comes from its cheapest predecessor, the first in _STEPS on a tie."""
     t1, t2 = A.shape[0], B.shape[0]
     C = _cost_matrix(A, B)
-    INF = np.inf
-    D = np.full((t1, t2), INF)
+    D = np.full((t1, t2), np.inf)
+    came_from = {}
     for i in range(t1):
         for j in range(t2):
             if allowed is not None and not allowed[i, j]:
                 continue
-            if i == 0 and j == 0:
-                D[i, j] = C[i, j]
-                continue
-            best = INF
-            if i > 0 and j > 0:
-                best = D[i - 1, j - 1]
-            if i > 0 and D[i - 1, j] < best:
-                best = D[i - 1, j]
-            if j > 0 and D[i, j - 1] < best:
-                best = D[i, j - 1]
+            best = 0.0 if i == j == 0 else np.inf
+            for di, dj in _STEPS:
+                if i >= di and j >= dj and (d := D[i - di, j - dj]) < best:
+                    best, came_from[i, j] = d, (i - di, j - dj)
             D[i, j] = C[i, j] + best
     if not np.isfinite(D[t1 - 1, t2 - 1]):
         raise SimilarityError("DTW window disconnects the endpoints")
-    # backtrace; diagonal preferred, then i-advance
     pairs = [(t1 - 1, t2 - 1)]
-    i, j = t1 - 1, t2 - 1
-    while (i, j) != (0, 0):
-        cands = []
-        if i > 0 and j > 0:
-            cands.append((D[i - 1, j - 1], 0, (i - 1, j - 1)))
-        if i > 0:
-            cands.append((D[i - 1, j], 1, (i - 1, j)))
-        if j > 0:
-            cands.append((D[i, j - 1], 2, (i, j - 1)))
-        _, _, (i, j) = min(cands)
-        pairs.append((i, j))
-    pairs.reverse()
-    return WarpPath(pairs=tuple(pairs))
+    while pairs[-1] != (0, 0):
+        pairs.append(came_from[pairs[-1]])
+    return WarpPath(pairs=tuple(reversed(pairs)))
 
 
 def dtw_path_exact(H: RepSequence | np.ndarray, H_hat: RepSequence | np.ndarray) -> WarpPath:

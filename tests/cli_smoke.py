@@ -4,8 +4,12 @@
 
 Writes 16-bit stereo WAVs with the stdlib `wave` module and a manifest of dev
 and eval trials into a temporary directory, then runs featurize, forward and,
-at every level, sim, fit, eval and report. Exits non-zero unless each command
-exits 0, every JSON output is strict JSON, and no scipy module was imported.
+at every level, sim, fit, eval and report. Then a dec-level sim and fit read a
+config file whose settings `--dtw-radius 0 --lenient` and `--fit-split
+train_all` override. Exact and fast DTW agree on these short sequences, and
+the manifest has no train trials, so their outputs must equal the dec level's.
+Exits non-zero unless each command exits 0, those outputs are equal, every
+JSON output is strict JSON, and no scipy module was imported.
 """
 
 import json
@@ -74,10 +78,23 @@ def main() -> int:
                          ["--level", level, "eval", "--scores", scores, "--params", params,
                           "--out-dir", out],
                          ["report", "--report", f"{out}/report.json"]]
+        config = root / "config.json"
+        config.write_text(json.dumps({"level": "dec", "dtw_radius": 5, "lenient": False,
+                                      "fit_split": "dev"}))
+        flagged = ["--config", str(config)]
+        commands += [flagged + ["--dtw-radius", "0", "--lenient", "sim",
+                                "--scores", str(root / "scores_flags.csv")],
+                     flagged + ["--fit-split", "train_all", "fit", "--scores",
+                                str(root / "scores_flags.csv"),
+                                "--params", str(root / "params_flags.json")]]
         for argv in commands:
             rc = cli.main(base + argv)
             if rc != cli.EXIT_OK:
                 print(f"hirsim {' '.join(argv)} exited {rc}", file=sys.stderr)
+                return 1
+        for name in ("scores_{}.csv", "params_{}.json"):
+            if (root / name.format("flags")).read_bytes() != (root / name.format("dec")).read_bytes():
+                print(f"{name.format('flags')} differs from {name.format('dec')}", file=sys.stderr)
                 return 1
         for path in sorted(root.rglob("*.json")):
             strict_json(path)

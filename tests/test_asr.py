@@ -107,6 +107,25 @@ class TestMultiHead:
                            multi_head_attention(X, X, two), atol=1e-12)
 
 
+def attention_params_per_matrix(seed_tag, name, n_heads, d_model):
+    """Reference: W_q, W_k and W_v stacked by one comprehension each."""
+    d_k = d_v = d_model // n_heads
+    tag = lambda suffix: asr._name_tag(seed_tag, f"{name}.{suffix}")
+    W_q = np.stack([asr.det_weight(tag(f"q{h}"), d_model, d_k) for h in range(n_heads)])
+    W_k = np.stack([asr.det_weight(tag(f"k{h}"), d_model, d_k) for h in range(n_heads)])
+    W_v = np.stack([asr.det_weight(tag(f"v{h}"), d_model, d_v) for h in range(n_heads)])
+    W_o = asr.det_weight(tag("o"), n_heads * d_v, d_model)
+    return AttentionParams(W_q, W_k, W_v, W_o)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_from_seed_equals_per_matrix_reference(n_heads):
+    got = AttentionParams.from_seed(7, "enc0.attn", n_heads=n_heads, d_model=16)
+    want = attention_params_per_matrix(7, "enc0.attn", n_heads, 16)
+    for w in ("W_q", "W_k", "W_v", "W_o"):
+        assert np.array_equal(getattr(got, w), getattr(want, w)), w
+
+
 def multi_head_attention_loop(X_q, X_kv, params, mask=None):
     """Reference: one scaled_dot_attention call per head, then concatenate."""
     heads = [scaled_dot_attention(X_q @ params.W_q[h], X_kv @ params.W_k[h],

@@ -140,6 +140,47 @@ class TestFeaturize:
         assert (res.written, res.skipped, len(res.failures)) == (0, 4, 1)
 
 
+    def test_sub_sample_hop_names_stage_and_trial(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"feat": {"window_ms": 0.01, "hop_ms": 0.01}}))
+        base = ["--config", str(cfg_path), "--manifest", str(self_manifest(tmp_path / "d")),
+                "--cache-dir", str(tmp_path / "c")]
+        assert cli.main(base + ["featurize"]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: featurize failed for c0: hop_ms 0.01 is under one sample at 16000 Hz\n")
+        assert list((tmp_path / "c").iterdir()) == []
+
+    def test_hrep_sources(self, tmp_path, rng):
+        # precomputed sources stored at another level and channel: featurize
+        # copies their data to input level under the slot's channel
+        (tmp_path / "d").mkdir()
+        data = {}
+        for sig in ("a", "b"):
+            for side in ("l", "r"):
+                data[sig, side] = rng.normal(size=(24, 12)).astype(np.float32)
+                reps.write_reps(reps.RepSequence(data[sig, side], "enc", "right", f"{sig}{side}"),
+                                tmp_path / "d" / f"{sig}_{side}.hrep")
+        m = tmp_path / "d" / "manifest.json"
+        m.write_text(json.dumps([{
+            "signal_id": f"s{i}", "listener_id": "L0", "system_id": "hrep", "correctness": 0.5,
+            "ref_left": "a_l.hrep", "ref_right": "a_r.hrep",
+            "proc_left": f"{proc}_l.hrep", "proc_right": f"{proc}_r.hrep", "split": "eval",
+        } for i, proc in enumerate("ab")]))
+        cache = tmp_path / "cache"
+        assert pipeline.run_featurize(m, cache, PipelineConfig()).written == 4
+        written = sorted((r.level, r.channel, r.signal_id, r.data.tobytes())
+                         for r in map(reps.read_reps, cache.glob("*.input.hrep")))
+        assert written == sorted(("input", "left" if side == "l" else "right", "", x.tobytes())
+                                 for (_, side), x in data.items())
+        assert pipeline.run_forward(m, cache, PipelineConfig()).written == 12
+        for level in reps.LEVELS:
+            scores = tmp_path / f"scores_{level}.csv"
+            res = pipeline.run_sim(m, cache, scores, PipelineConfig(level=level))
+            assert (res.written, res.failures) == (2, [])
+            rows = {r["signal_id"]: r["raw_score"] for r in pipeline.read_scores(scores)}
+            assert abs(rows["s0"] - 1.0) < 1e-9
+
+
 class TestForward:
     def test_deterministic_bytes(self, dataset, tmp_path):
         root, manifest = dataset
@@ -571,7 +612,16 @@ class TestCli:
         ({"level": "bogus"}, ": unknown level 'bogus'"),
         ({"asr": {"d_model": 30}}, ": 'asr': d_model must be divisible by n_heads"),
         ({"feat": {"n_mels": -3}}, ": 'feat': n_mels must be positive"),
-    ], ids=["level", "asr-d-model", "feat-n-mels"])
+        ({"asr": {"n_heads": 0}}, ": 'asr': n_heads must be >= 1"),
+        ({"asr": {"n_heads": -1}}, ": 'asr': n_heads must be >= 1"),
+        ({"asr": {"d_model": 0}}, ": 'asr': d_model must be >= 1"),
+        ({"asr": {"max_decode_len": 0}}, ": 'asr': max_decode_len must be >= 1"),
+        ({"asr": {"prenet_channels": [0]}}, ": 'asr': every prenet_channels entry must be >= 1"),
+        ({"asr": {"n_enc_blocks": -1}}, ": 'asr': n_enc_blocks must be >= 0"),
+        ({"feat": {"hop_ms": 0}}, ": 'feat': hop_ms must be positive"),
+    ], ids=["level", "asr-d-model", "feat-n-mels", "asr-zero-heads", "asr-negative-heads",
+            "asr-zero-d-model", "asr-zero-decode-len", "asr-zero-prenet-channel",
+            "asr-negative-enc-blocks", "feat-zero-hop"])
     def test_invalid_config_value_names_the_config(self, tmp_path, capsys, config, cause):
         # an empty manifest: the config is rejected before any work
         cfg_path, m = tmp_path / "cfg.json", tmp_path / "manifest.json"
@@ -658,6 +708,23 @@ class TestCli:
                              text=True, env={**os.environ, "PYTHONPATH": src})
         assert run.returncode == 0, run.stderr
         assert run.stdout.count("level: dec") == 2
+
+    def test_flags_override_the_config_file(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dtw_radius": 5, "lenient": False,
+                                        "fit_split": "train_all"}))
+
+        def config(*flags):
+            args = cli.build_parser().parse_args(["--config", str(cfg_path), *flags, "featurize"])
+            cfg = cli._make_config(args)
+            return cfg.dtw_radius, cfg.lenient, cfg.fit_split, cfg.wcs_percent
+
+        # a radius of 0 is falsy, and still a given flag
+        assert config("--dtw-radius", "0", "--lenient") == (0, True, "train_all", False)
+        assert config() == (5, False, "train_all", False)
+        # an absent store_true flag leaves a true config value alone
+        cfg_path.write_text(json.dumps({"lenient": True, "wcs_percent": True}))
+        assert config() == (sim.DEFAULT_RADIUS, True, "dev", True)
 
     def test_config_file_loading(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

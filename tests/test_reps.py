@@ -167,6 +167,22 @@ class TestManifest:
         with pytest.raises(FormatError, match="system_id"):
             load_manifest(p)
 
+    def test_missing_keys_name_the_first_in_field_order(self, tmp_path):
+        e = _entry(0)
+        for key in ("split", "proc_left", "listener_id", "correctness"):
+            del e[key]
+        p = _write_manifest(tmp_path, [_entry(1), e])
+        with pytest.raises(FormatError, match=r"entry 1: missing key 'listener_id'$"):
+            load_manifest(p)
+        p.write_text(json.dumps([_entry(1), ["s0"]]))
+        with pytest.raises(FormatError, match=r"entry 1 is not a JSON object$"):
+            load_manifest(p)
+
+    def test_extra_keys_are_ignored_and_values_stringified(self, tmp_path):
+        p = _write_manifest(tmp_path, [_entry(0, note="x", signal_id=7, listener_id=3)])
+        assert load_manifest(p) == [TrialRecord("7", "3", "sysA", 0.5, "r.wav", "r.wav",
+                                                "p.wav", "p.wav", "train")]
+
     def test_nan_correctness_allowed(self, tmp_path):
         p = _write_manifest(tmp_path, [_entry(0, split="eval", correctness=float("nan"))])
         recs = load_manifest(p)

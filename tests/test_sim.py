@@ -204,6 +204,76 @@ class TestDtwFast:
         assert p.pairs[-1] == (32, 46)
 
 
+def dtw_window_min_backtrace(A, B, allowed):
+    """Reference: the DP filled without predecessor links, then a backtrace
+    that re-ranks each cell's predecessors as min over (D, order, cell) with
+    order diagonal 0, i-advance 1, j-advance 2."""
+    t1, t2 = A.shape[0], B.shape[0]
+    C = sim._cost_matrix(A, B)
+    D = np.full((t1, t2), np.inf)
+    for i in range(t1):
+        for j in range(t2):
+            if allowed is not None and not allowed[i, j]:
+                continue
+            if i == 0 and j == 0:
+                D[i, j] = C[i, j]
+                continue
+            best = np.inf
+            if i > 0 and j > 0:
+                best = D[i - 1, j - 1]
+            if i > 0 and D[i - 1, j] < best:
+                best = D[i - 1, j]
+            if j > 0 and D[i, j - 1] < best:
+                best = D[i, j - 1]
+            D[i, j] = C[i, j] + best
+    if not np.isfinite(D[t1 - 1, t2 - 1]):
+        raise SimilarityError("DTW window disconnects the endpoints")
+    pairs = [(t1 - 1, t2 - 1)]
+    i, j = t1 - 1, t2 - 1
+    while (i, j) != (0, 0):
+        cands = []
+        if i > 0 and j > 0:
+            cands.append((D[i - 1, j - 1], 0, (i - 1, j - 1)))
+        if i > 0:
+            cands.append((D[i - 1, j], 1, (i - 1, j)))
+        if j > 0:
+            cands.append((D[i, j - 1], 2, (i, j - 1)))
+        _, _, (i, j) = min(cands)
+        pairs.append((i, j))
+    return tuple(reversed(pairs))
+
+
+def tie_heavy_frames(rng, kind, t, d=3):
+    """`t` frames: independent ("random"), drawn from a pool of three vectors,
+    one of them zero ("repeated"), or all the same vector ("constant")."""
+    if kind == "random":
+        return rng.normal(size=(t, d))
+    pool = np.vstack([np.zeros(d), rng.integers(-2, 3, size=(2, d))]).astype(np.float64)
+    return pool[rng.integers(3, size=t)] if kind == "repeated" else np.repeat(pool[1:2], t, axis=0)
+
+
+class TestDtwTieBreak:
+    @pytest.mark.parametrize("kind", ["random", "repeated", "constant"])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_paths_equal_min_backtrace_reference(self, rng, kind, masked):
+        def outcome(dtw, A, B, allowed):
+            try:
+                return dtw(A, B, allowed)
+            except SimilarityError:
+                return "disconnected"
+
+        connected = 0
+        for _ in range(60):
+            t1, t2 = (int(t) for t in rng.integers(1, 13, size=2))
+            A, B = tie_heavy_frames(rng, kind, t1), tie_heavy_frames(rng, kind, t2)
+            allowed = rng.random((t1, t2)) < 0.8 if masked else None
+            want = outcome(dtw_window_min_backtrace, A, B, allowed)
+            got = outcome(sim._dtw_window, A, B, allowed)
+            assert (got if got == "disconnected" else got.pairs) == want
+            connected += want != "disconnected"
+        assert connected >= 10
+
+
 def expand_window_sets(path, t1, t2, radius):
     """Reference: the fast-DTW corridor built as a set of (i, j) cells."""
     cells = set()
