@@ -64,7 +64,8 @@ def causal_mask(n: int) -> np.ndarray:
 
 
 def scaled_dot_attention(Q, K, V, mask=None) -> np.ndarray:
-    """softmax(Q K^T / sqrt(d_k)) V with optional boolean allow-mask, per leading index (head)."""
+    """softmax(Q K^T / sqrt(d_k)) V with optional boolean allow-mask, per
+    leading index (batch, head)."""
     Q = np.asarray(Q, dtype=np.float64)
     K = np.asarray(K, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
@@ -72,18 +73,21 @@ def scaled_dot_attention(Q, K, V, mask=None) -> np.ndarray:
         raise ValueError("incompatible attention shapes")
     if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(K)) and np.all(np.isfinite(V))):
         raise ValueError("non-finite attention inputs")
-    scores = (Q @ np.swapaxes(K, -1, -2)) / math.sqrt(Q.shape[-1])
+    scores = Q @ np.swapaxes(K, -1, -2)
+    scores /= math.sqrt(Q.shape[-1])
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != scores.shape[-2:]:
             raise ValueError("mask shape mismatch")
         if not mask.any(axis=-1).all():
             raise ValueError("some query position has every key masked")
-        scores = np.where(mask, scores, -np.inf)
-    # max-subtraction keeps exp in range; masked entries get weight exactly 0
-    w = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    w /= w.sum(axis=-1, keepdims=True)
-    return w @ V
+        np.copyto(scores, -np.inf, where=~mask)
+    # softmax in place; max-subtraction keeps exp in range and masked entries
+    # get weight exactly 0
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores @ V
 
 
 @dataclass(frozen=True)
@@ -104,20 +108,35 @@ class AttentionParams:
         return cls(W_q, W_k, W_v, W_o)
 
 
-def multi_head_attention(X_q, X_kv, params: AttentionParams, mask=None) -> np.ndarray:
-    """All heads in one attention call; their outputs are concatenated before W_o."""
-    X_q = np.asarray(X_q, dtype=np.float64)
+def project_kv(X_kv, params: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
+    """Every head's keys and values of X_kv (..., T, d_model), each (..., n_heads, T, d_head)."""
     X_kv = np.asarray(X_kv, dtype=np.float64)
-    if X_q.shape[1] != params.W_q.shape[1] or X_kv.shape[1] != params.W_q.shape[1]:
+    if X_kv.shape[-1] != params.W_k.shape[1]:
         raise ValueError("input width must equal d_model")
-    heads = scaled_dot_attention(X_q @ params.W_q, X_kv @ params.W_k, X_kv @ params.W_v, mask)
-    return heads.transpose(1, 0, 2).reshape(X_q.shape[0], -1) @ params.W_o
+    X_kv = X_kv[..., None, :, :]
+    return X_kv @ params.W_k, X_kv @ params.W_v
+
+
+def attend(X_q, kv, params: AttentionParams, mask=None) -> np.ndarray:
+    """Multi-head attention of X_q (..., T, d_model) on keys and values from
+    `project_kv`: all heads in one attention call, their outputs concatenated
+    before W_o."""
+    X_q = np.asarray(X_q, dtype=np.float64)
+    if X_q.shape[-1] != params.W_q.shape[1]:
+        raise ValueError("input width must equal d_model")
+    heads = scaled_dot_attention(X_q[..., None, :, :] @ params.W_q, *kv, mask)
+    return np.swapaxes(heads, -3, -2).reshape(*X_q.shape[:-1], -1) @ params.W_o
+
+
+def multi_head_attention(X_q, X_kv, params: AttentionParams, mask=None) -> np.ndarray:
+    """Multi-head attention of X_q on X_kv, both (..., T, d_model)."""
+    return attend(X_q, project_kv(X_kv, params), params, mask)
 
 
 def layer_norm(X, eps: float = 1e-12) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    mean = X.mean(axis=1, keepdims=True)
-    var = X.var(axis=1, keepdims=True)
+    mean = X.mean(axis=-1, keepdims=True)
+    var = X.var(axis=-1, keepdims=True)
     return (X - mean) / np.sqrt(var + eps)
 
 
@@ -166,11 +185,12 @@ def encoder_block_forward(X, params: EncoderBlockParams) -> np.ndarray:
     return X
 
 
-def decoder_block_forward(Y, enc_out, params: DecoderBlockParams) -> np.ndarray:
-    """Causal self-attention, cross-attention on encoder output, feed-forward."""
-    Y = layer_norm(Y + multi_head_attention(Y, Y, params.self_attn,
-                                            mask=causal_mask(Y.shape[0])))
-    Y = layer_norm(Y + multi_head_attention(Y, enc_out, params.cross_attn))
+def decoder_block_forward(Y, cross_kv, params: DecoderBlockParams, mask) -> np.ndarray:
+    """Self-attention under `mask` (the causal mask of Y's length),
+    cross-attention on the encoder output's `project_kv(enc_out,
+    params.cross_attn)`, then feed-forward."""
+    Y = layer_norm(Y + multi_head_attention(Y, Y, params.self_attn, mask))
+    Y = layer_norm(Y + attend(Y, cross_kv, params.cross_attn))
     Y = layer_norm(Y + params.ffn.apply(Y))
     _check_finite(Y, "decoder block")
     return Y
@@ -281,50 +301,70 @@ class ToyAsr:
         return x.reshape(x.shape[0], -1)
 
     def encode(self, h_pre: np.ndarray) -> np.ndarray:
-        X = h_pre @ self.W_in + positional_encoding(h_pre.shape[0], self.cfg.d_model)
+        """Encoder states (N, T', d_model) of a stack of PreNet outputs (N, T', pre_dim)."""
+        X = h_pre @ self.W_in + positional_encoding(h_pre.shape[-2], self.cfg.d_model)
         for block in self.enc_blocks:
             X = encoder_block_forward(X, block)
         return X
 
-    def decode_greedy(self, enc_out: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Free-running greedy decoding; returns last-block hidden states per
-        emitted step (excluding the end-symbol step) and the emitted tokens."""
+    def decode_greedy(self, enc_out: np.ndarray) -> list[tuple[np.ndarray, list[int]]]:
+        """Free-running greedy decoding of each sequence in a stack of encoder
+        states (N, T', d_model). Returns, per sequence, the last-block hidden
+        states of its emitted steps (excluding the end-symbol step) and its
+        emitted tokens. A sequence leaves the stack at its end symbol."""
         cfg = self.cfg
-        tokens = [0]  # start symbol
-        hiddens: list[np.ndarray] = []
-        emitted: list[int] = []
+        n = enc_out.shape[0]
+        cross = [project_kv(enc_out, block.cross_attn) for block in self.dec_blocks]
         pe = positional_encoding(cfg.max_decode_len, cfg.d_model)
-        for _ in range(cfg.max_decode_len):
-            Y = self.embed[tokens] + pe[:len(tokens)]
-            for block in self.dec_blocks:
-                Y = decoder_block_forward(Y, enc_out, block)
-            h_last = Y[-1]
-            tok = int(np.argmax(h_last @ self.W_out))
-            if tok == cfg.end_symbol:
-                if not hiddens:
+        active = np.arange(n)
+        tokens = np.zeros((n, 1), dtype=np.intp)  # start symbol; one row per active sequence
+        hiddens: list[list[np.ndarray]] = [[] for _ in range(n)]
+        emitted: list[list[int]] = [[] for _ in range(n)]
+        for step in range(cfg.max_decode_len):
+            mask = causal_mask(step + 1)
+            Y = self.embed[tokens] + pe[:step + 1]
+            for block, kv in zip(self.dec_blocks, cross):
+                Y = decoder_block_forward(Y, kv, block, mask)
+            h_last = Y[:, -1]
+            # one (1, d) x (d, vocab) product per sequence, as for a lone sequence
+            tok = (h_last[:, None] @ self.W_out)[:, 0].argmax(axis=-1)
+            for i, h, t in zip(active, h_last, tok):
+                if t != cfg.end_symbol:
+                    hiddens[i].append(h)
+                    emitted[i].append(int(t))
+                elif not hiddens[i]:
                     # end predicted immediately: keep this step so the
                     # representation is nonempty
-                    hiddens.append(h_last)
+                    hiddens[i].append(h)
+            go_on = tok != cfg.end_symbol
+            if not go_on.any():
                 break
-            hiddens.append(h_last)
-            emitted.append(tok)
-            tokens.append(tok)
-        return np.stack(hiddens), emitted
+            if not go_on.all():
+                active = active[go_on]
+                cross = [(K[go_on], V[go_on]) for K, V in cross]
+            tokens = np.column_stack([tokens[go_on], tok[go_on]])
+        return [(np.stack(h), e) for h, e in zip(hiddens, emitted)]
+
+    def hidden(self, h_pre: np.ndarray) -> list[dict[str, np.ndarray]]:
+        """The 'pre', 'enc' and 'dec' states of each sequence in a stack of
+        PreNet outputs (N, T', pre_dim), each as if it ran alone."""
+        h_enc = self.encode(h_pre)
+        return [{"pre": p, "enc": e, "dec": d}
+                for p, e, (d, _) in zip(h_pre, h_enc, self.decode_greedy(h_enc))]
 
 
 # one shared ToyAsr per (cfg, n_input_bands); forward passes never mutate it
-_model = functools.lru_cache(maxsize=8)(ToyAsr)
+shared_model = functools.lru_cache(maxsize=8)(ToyAsr)
 
 
 def toy_forward(features: RepSequence, cfg: ToyAsrConfig) -> dict[str, RepSequence]:
-    """Run the toy model; returns {'pre', 'enc', 'dec'} RepSequences."""
-    model = _model(cfg, features.dim)
-    h_pre = model.prenet(features.data.astype(np.float64))
-    h_enc = model.encode(h_pre)
-    h_dec, _ = model.decode_greedy(h_enc)
-    mk = lambda data, level: RepSequence(
-        data=data, level=level, channel=features.channel, signal_id=features.signal_id)
-    return {"pre": mk(h_pre, "pre"), "enc": mk(h_enc, "enc"), "dec": mk(h_dec, "dec")}
+    """Run the toy model on one sequence, as a stack of one; returns {'pre',
+    'enc', 'dec'} RepSequences."""
+    model = shared_model(cfg, features.dim)
+    [hidden] = model.hidden(model.prenet(features.data.astype(np.float64))[None])
+    return {level: RepSequence(data=data, level=level, channel=features.channel,
+                               signal_id=features.signal_id)
+            for level, data in hidden.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ All functions are pure; the same input always yields the same output.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,6 +67,11 @@ class FeatConfig:
     log_floor: float = 1e-10
 
     def __post_init__(self):
+        # json reads NaN and Infinity, which pass or dodge the range checks below
+        for name in ("window_ms", "hop_ms", "fmin_hz", "fmax_hz", "log_floor"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_mels <= 0:
             raise ValueError("n_mels must be positive")
         if self.hop_ms <= 0:

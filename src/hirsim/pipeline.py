@@ -194,10 +194,21 @@ def run_featurize(manifest_path, cache_dir, cfg: PipelineConfig) -> StageResult:
     return result
 
 
+# encoder frames one forward chunk may hold. The (N, heads, T', T') attention
+# scores of a chunk grow with N, so this bounds peak memory: 8 of
+# `shared_short`'s 12-frame inputs, one of `unique_long`'s 100-frame inputs.
+FORWARD_BUDGET = 100
+
+
 def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
                 levels=MODEL_LEVELS) -> StageResult:
     """Run the toy model on every distinct input-level .hrep, writing the
-    requested hidden-representation levels."""
+    requested hidden-representation levels.
+
+    Inputs whose PreNet outputs have the same shape go through the encoder
+    and decoder as one stack, in chunks of at most FORWARD_BUDGET encoder
+    frames (or one input); the outputs equal those of one input at a time.
+    """
     records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent)
     cache = Path(cache_dir)
     result = StageResult()
@@ -206,7 +217,27 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
         if lv not in MODEL_LEVELS:
             raise PipelineError(f"forward cannot produce level {lv!r}")
 
+    def forward(chunk):
+        """Write the levels of each (signal_id, key, features, PreNet output,
+        levels to write) in `chunk`, whose PreNet outputs share one shape."""
+        model = asr.shared_model(cfg.asr, chunk[0][2].dim)
+        hidden = None
+        if len(chunk) > 1:
+            # on a data error each input runs alone below, naming the failing trial
+            with contextlib.suppress(*DATA_ERRORS):
+                hidden = model.hidden(np.stack([item[3] for item in chunk]))
+        for i, (signal_id, key, features, pre, todo) in enumerate(chunk):
+            with _trial(result, cfg, "forward", signal_id):
+                h = hidden[i] if hidden is not None else model.hidden(pre[None])[0]
+                for lv in todo:
+                    reps.write_reps(reps.RepSequence(h[lv], lv, features.channel,
+                                                     features.signal_id),
+                                    _rep_path(cache, key, lv, cfg.asr))
+                result.written += len(todo)
+
+    pending: dict[tuple, list] = {}
     for signal_id, key, path, channel in _distinct(records, manifest_path, cfg):
+        item = None
         with _trial(result, cfg, "forward", signal_id):
             src = key and _rep_path(cache, key, "input", cfg.asr)
             if not (src and src.exists()):
@@ -214,10 +245,17 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
             todo = [lv for lv in levels if not _rep_path(cache, key, lv, cfg.asr).exists()]
             result.skipped += len(levels) - len(todo)
             if todo:
-                hidden = asr.toy_forward(reps.read_reps(src), cfg.asr)
-                for lv in todo:
-                    reps.write_reps(hidden[lv], _rep_path(cache, key, lv, cfg.asr))
-                result.written += len(todo)
+                features = reps.read_reps(src)
+                pre = asr.shared_model(cfg.asr, features.dim).prenet(
+                    features.data.astype(np.float64))
+                item = (signal_id, key, features, pre, todo)
+        if item:
+            group = pending.setdefault(pre.shape, [])
+            group.append(item)
+            if (len(group) + 1) * len(pre) > FORWARD_BUDGET:
+                forward(pending.pop(pre.shape))
+    for group in pending.values():
+        forward(group)
     return result
 
 

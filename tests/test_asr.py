@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hirsim import asr
 from hirsim.asr import (
@@ -211,7 +213,10 @@ class TestBlocks:
         X = rng.normal(size=(7, cfg.d_model))
         assert asr.encoder_block_forward(X, model.enc_blocks[0]).shape == X.shape
         enc = rng.normal(size=(9, cfg.d_model))
-        assert asr.decoder_block_forward(X, enc, model.dec_blocks[0]).shape == X.shape
+        block = model.dec_blocks[0]
+        out = asr.decoder_block_forward(X, asr.project_kv(enc, block.cross_attn), block,
+                                        causal_mask(7))
+        assert out.shape == X.shape
 
 
 class TestToyForward:
@@ -245,6 +250,113 @@ class TestToyForward:
     def test_too_short_input_rejected(self, rng):
         with pytest.raises(asr.AsrError):
             toy_forward(self._features(rng, t=3), ToyAsrConfig())
+
+
+def decode_greedy_one(model, enc_out):
+    """Oracle: greedy decoding of one sequence of encoder states (T', d_model)
+    on its own, projecting the cross-attention keys and values afresh at every
+    step. Returns the last-block hidden states of the emitted steps and the
+    emitted tokens; an end symbol at the first step still gives one state."""
+    cfg = model.cfg
+    tokens = [0]  # start symbol
+    hiddens, emitted = [], []
+    pe = asr.positional_encoding(cfg.max_decode_len, cfg.d_model)
+    for _ in range(cfg.max_decode_len):
+        Y = model.embed[tokens] + pe[:len(tokens)]
+        for block in model.dec_blocks:
+            Y = asr.decoder_block_forward(Y, asr.project_kv(enc_out, block.cross_attn), block,
+                                          causal_mask(len(tokens)))
+        h_last = Y[-1]
+        tok = int(np.argmax(h_last @ model.W_out))
+        if tok == cfg.end_symbol:
+            if not hiddens:
+                hiddens.append(h_last)
+            break
+        hiddens.append(h_last)
+        emitted.append(tok)
+        tokens.append(tok)
+    return np.stack(hiddens), emitted
+
+
+# (config, input bands). The default model decodes almost every input to the
+# same three tokens; on the small ones the decode length depends on the input:
+# 0 or 1 tokens (a silent clip ends at once), 4 or 5, and 0 or 6.
+ORACLE_MODELS = [
+    (ToyAsrConfig(), 20),
+    (ToyAsrConfig(d_model=8, n_heads=2, seed_tag=1, vocab_size=5, max_decode_len=8), 6),
+    (ToyAsrConfig(d_model=8, n_heads=2, seed_tag=1, vocab_size=8, max_decode_len=8), 6),
+    (ToyAsrConfig(d_model=16, n_heads=2, seed_tag=0, vocab_size=5, max_decode_len=8), 6),
+]
+
+
+def clip(kind, seed, scale, t, bands):
+    if kind == "silent":
+        return np.zeros((t, bands))
+    if kind == "constant":
+        return np.full((t, bands), scale)
+    return np.random.default_rng(seed).normal(size=(t, bands)) * scale
+
+
+def assert_stack_equals_oracle(model, clips):
+    """The stacked PreNet, encoder and decoder states of equal-length `clips`
+    equal a run of each clip alone, bit for bit; returns the tokens."""
+    pre = np.stack([model.prenet(x) for x in clips])
+    enc = model.encode(pre)
+    dec = model.decode_greedy(enc)
+    assert pre.dtype == enc.dtype == np.float64 and len(dec) == len(clips)
+    for x, p, e, (d, tokens) in zip(clips, pre, enc, dec):
+        pre1 = model.prenet(x)
+        enc1 = model.encode(pre1)
+        dec1, tokens1 = decode_greedy_one(model, enc1)
+        assert np.array_equal(p, pre1) and np.array_equal(e, enc1)
+        assert d.dtype == np.float64 and np.array_equal(d, dec1)
+        assert tokens == tokens1 and len(d) == max(1, len(tokens))
+    return [tokens for _, tokens in dec]
+
+
+@st.composite
+def clip_stacks(draw):
+    """A model and 1-12 equal-length clips of varied content."""
+    cfg, bands = draw(st.sampled_from(ORACLE_MODELS))
+    t = draw(st.integers(4, 40))
+    clips = [clip(draw(st.sampled_from(["silent", "constant", "noise"])),
+                  draw(st.integers(0, 2 ** 32 - 1)), draw(st.sampled_from([0.3, 1.0, 3.0, 10.0])),
+                  t, bands)
+             for _ in range(draw(st.integers(1, 12)))]
+    return cfg, bands, clips
+
+
+class TestBatchedForward:
+    @settings(max_examples=60, deadline=None)
+    @given(clip_stacks())
+    def test_stack_equals_per_item_oracle(self, drawn):
+        cfg, bands, clips = drawn
+        assert_stack_equals_oracle(asr.ToyAsr(cfg, bands), clips)
+
+    @pytest.mark.parametrize("which, kinds, lengths", [
+        (1, ["silent", "constant", "noise", "silent"], {0, 1}),
+        (2, ["noise"] * 6, {4, 5}),
+        (3, ["noise"] * 6, {0, 6}),
+    ])
+    def test_stack_shrinks_as_sequences_end(self, which, kinds, lengths):
+        # decodes that end at different steps, and an end at the first step
+        cfg, bands = ORACLE_MODELS[which]
+        clips = [clip(kind, seed, 10.0 if kind == "noise" else 2.0, 16, bands)
+                 for seed, kind in enumerate(kinds)]
+        tokens = assert_stack_equals_oracle(asr.ToyAsr(cfg, bands), clips)
+        assert {len(t) for t in tokens} == lengths
+
+    def test_toy_forward_is_a_stack_of_one(self, rng):
+        x = rng.normal(size=(48, 20)).astype(np.float32)
+        got = toy_forward(RepSequence(x, "input", "right", "s"), ToyAsrConfig())
+        model = asr.ToyAsr(ToyAsrConfig(), 20)
+        pre = model.prenet(x.astype(np.float64))
+        enc = model.encode(pre)
+        dec, _ = decode_greedy_one(model, enc)
+        for level, want in (("pre", pre), ("enc", enc), ("dec", dec)):
+            assert got[level].data.tobytes() == want.astype(np.float32).tobytes()
+            assert (got[level].level, got[level].channel, got[level].signal_id) == \
+                (level, "right", "s")
 
 
 class TestCtc:

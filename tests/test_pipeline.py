@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hirsim import calib, cli, pipeline, reps, sim
+from hirsim import asr, calib, cli, feats, pipeline, reps, sim
 from hirsim.pipeline import PipelineConfig
 from conftest import build_smoke_dataset, synth_speechlike, write_stereo_wav
 
@@ -181,6 +181,40 @@ class TestFeaturize:
             assert abs(rows["s0"] - 1.0) < 1e-9
 
 
+def mixed_length_manifests(root):
+    """Five trials whose clips give 48, 48, 48, 49 and 398 log-mel frames (12,
+    12, 12, 13 and 100 encoder frames), each with four distinct inputs. Returns
+    the manifest of those and one that adds trial 'short': trial a0 with a
+    processed left channel of 3 frames, fewer than the PreNet needs."""
+    audio = root / "audio"
+    audio.mkdir(parents=True)
+    entries = []
+    for i, n_samples in enumerate((8000, 8000, 8000, 8160, 64000)):
+        names = {}
+        for side in ("ref", "proc"):
+            x = synth_speechlike(2 * i + (side == "proc"), n_samples=n_samples)
+            write_stereo_wav(audio / f"a{i}_{side}.wav", x, 0.8 * x)
+            names[f"{side}_left"] = names[f"{side}_right"] = f"audio/a{i}_{side}.wav"
+        entries.append({"signal_id": f"a{i}", "listener_id": "L0", "system_id": "S0",
+                        "correctness": 0.5, "split": "eval", **names})
+    x = synth_speechlike(99, n_samples=800)
+    write_stereo_wav(audio / "short.wav", x, x)
+    good, full = root / "good.json", root / "full.json"
+    good.write_text(json.dumps(entries))
+    full.write_text(json.dumps(
+        entries + [{**entries[0], "signal_id": "short", "proc_left": "audio/short.wav"}]))
+    return good, full
+
+
+def forward_files(manifest, cache, cfg):
+    """Featurize and forward `manifest` into `cache`; returns the bytes of each
+    model-level .hrep by name, and forward's StageResult."""
+    pipeline.run_featurize(manifest, cache, cfg)
+    result = pipeline.run_forward(manifest, cache, cfg)
+    return ({p.name: p.read_bytes() for p in cache.glob("*.hrep")
+             if not p.name.endswith(".input.hrep")}, result)
+
+
 class TestForward:
     def test_deterministic_bytes(self, dataset, tmp_path):
         root, manifest = dataset
@@ -231,6 +265,58 @@ class TestForward:
             assert len(list((tmp_path / "c").glob(f"*.{lv}.hrep"))) == n_inputs - 1
         assert cli.main(base + ["forward"]) == cli.EXIT_DATA
         assert "data error: forward failed for short: 3 frames" in capsys.readouterr().err
+
+
+    def test_chunks_hold_equal_lengths_within_the_budget(self, tmp_path, monkeypatch):
+        good, _ = mixed_length_manifests(tmp_path / "d")
+        chunks = []
+        hidden = asr.ToyAsr.hidden
+
+        def recorded(model, h_pre):
+            chunks.append(h_pre.shape[:2])
+            return hidden(model, h_pre)
+
+        monkeypatch.setattr(asr.ToyAsr, "hidden", recorded)
+        files, result = forward_files(good, tmp_path / "c", PipelineConfig())
+        assert (len(files), result.written, result.failures) == (60, 60, [])
+        # (inputs, encoder frames): 12 inputs of 12 frames as 8 + 4, the 4 of
+        # 13 frames together and each 100-frame input alone
+        assert sorted(chunks) == [(1, 100)] * 4 + [(4, 12), (4, 13), (8, 12)]
+        assert all(n * t <= pipeline.FORWARD_BUDGET or n == 1 for n, t in chunks)
+
+    def test_short_clip_fails_alone(self, tmp_path):
+        good, full = mixed_length_manifests(tmp_path / "d")
+        with pytest.raises(pipeline.PipelineError,
+                           match="^forward failed for short: 3 frames is shorter than the PreNet"):
+            forward_files(full, tmp_path / "strict", PipelineConfig())
+        want, _ = forward_files(good, tmp_path / "good", PipelineConfig())
+        got, result = forward_files(full, tmp_path / "lenient", PipelineConfig(lenient=True))
+        assert [sid for sid, _ in result.failures] == ["short"]
+        assert got == want
+
+    def test_failing_chunk_reruns_its_inputs_one_by_one(self, tmp_path, monkeypatch):
+        good, _ = mixed_length_manifests(tmp_path / "d")
+        want, _ = forward_files(good, tmp_path / "want", PipelineConfig())
+        # the encoder fails on any stack holding a1's processed left channel,
+        # which shares its 12-frame chunk with seven other inputs
+        cfg = PipelineConfig()
+        wav = feats.read_wav(tmp_path / "d" / "audio" / "a1_proc.wav")
+        bad = feats.logmel(wav.channel("left"), cfg.feat, wav.sample_rate_hz).data
+        bad = asr.shared_model(cfg.asr, bad.shape[1]).prenet(bad.astype(np.float64))
+        encode = asr.ToyAsr.encode
+
+        def poisoned(model, h_pre):
+            if any(np.array_equal(p, bad) for p in h_pre):
+                raise asr.AsrError("poisoned input")
+            return encode(model, h_pre)
+
+        monkeypatch.setattr(asr.ToyAsr, "encode", poisoned)
+        with pytest.raises(pipeline.PipelineError, match="^forward failed for a1: poisoned input$"):
+            forward_files(good, tmp_path / "strict", cfg)
+        got, result = forward_files(good, tmp_path / "lenient", PipelineConfig(lenient=True))
+        assert result.failures == [("a1", "poisoned input")]
+        assert result.written == len(got) == len(want) - 3
+        assert got.items() <= want.items()
 
 
 class TestSimFitEval:
@@ -627,6 +713,22 @@ class TestCli:
         cfg_path, m = tmp_path / "cfg.json", tmp_path / "manifest.json"
         cfg_path.write_text(json.dumps(config))
         m.write_text("[]")
+        rc = cli.main(["--config", str(cfg_path), "--manifest", str(m),
+                       "--cache-dir", str(tmp_path / "c"), "featurize"])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: config {cfg_path}{cause}\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["window_ms", "hop_ms", "fmin_hz", "fmax_hz", "log_floor"])
+    def test_non_finite_feat_value_names_the_config(self, tmp_path, capsys, name, value):
+        # json.dumps writes NaN, Infinity and -Infinity, which json.loads reads back
+        cfg_path, m = tmp_path / "cfg.json", tmp_path / "manifest.json"
+        cfg_path.write_text(json.dumps({"feat": {name: value}}))
+        m.write_text("[]")
+        cause = f": 'feat': {name} must be finite, got {value}"
+        with pytest.raises(ValueError, match=re.escape(f"config {cfg_path}{cause}")):
+            pipeline.load_config(cfg_path)
         rc = cli.main(["--config", str(cfg_path), "--manifest", str(m),
                        "--cache-dir", str(tmp_path / "c"), "featurize"])
         assert rc == cli.EXIT_DATA
