@@ -311,15 +311,16 @@ class ToyAsr:
         """Free-running greedy decoding of each sequence in a stack of encoder
         states (N, T', d_model). Returns, per sequence, the last-block hidden
         states of its emitted steps (excluding the end-symbol step) and its
-        emitted tokens. A sequence leaves the stack at its end symbol."""
+        emitted tokens. The stack decodes until every sequence has ended or
+        max_decode_len is reached; then each is cut at its first end symbol,
+        and an end at the first step keeps that step's state."""
         cfg = self.cfg
         n = enc_out.shape[0]
         cross = [project_kv(enc_out, block.cross_attn) for block in self.dec_blocks]
         pe = positional_encoding(cfg.max_decode_len, cfg.d_model)
-        active = np.arange(n)
-        tokens = np.zeros((n, 1), dtype=np.intp)  # start symbol; one row per active sequence
-        hiddens: list[list[np.ndarray]] = [[] for _ in range(n)]
-        emitted: list[list[int]] = [[] for _ in range(n)]
+        tokens = np.zeros((n, 1), dtype=np.intp)  # start symbol
+        ended = np.zeros(n, dtype=bool)
+        states = []
         for step in range(cfg.max_decode_len):
             mask = causal_mask(step + 1)
             Y = self.embed[tokens] + pe[:step + 1]
@@ -328,22 +329,15 @@ class ToyAsr:
             h_last = Y[:, -1]
             # one (1, d) x (d, vocab) product per sequence, as for a lone sequence
             tok = (h_last[:, None] @ self.W_out)[:, 0].argmax(axis=-1)
-            for i, h, t in zip(active, h_last, tok):
-                if t != cfg.end_symbol:
-                    hiddens[i].append(h)
-                    emitted[i].append(int(t))
-                elif not hiddens[i]:
-                    # end predicted immediately: keep this step so the
-                    # representation is nonempty
-                    hiddens[i].append(h)
-            go_on = tok != cfg.end_symbol
-            if not go_on.any():
+            states.append(h_last)
+            tokens = np.column_stack([tokens, tok])
+            ended |= tok == cfg.end_symbol
+            if ended.all():
                 break
-            if not go_on.all():
-                active = active[go_on]
-                cross = [(K[go_on], V[go_on]) for K, V in cross]
-            tokens = np.column_stack([tokens[go_on], tok[go_on]])
-        return [(np.stack(h), e) for h, e in zip(hiddens, emitted)]
+        is_end = tokens[:, 1:] == cfg.end_symbol
+        n_emitted = np.where(ended, is_end.argmax(axis=1), is_end.shape[1])
+        return [(h[:max(1, k)], t[:k].tolist())
+                for h, t, k in zip(np.stack(states, axis=1), tokens[:, 1:], n_emitted)]
 
     def hidden(self, h_pre: np.ndarray) -> list[dict[str, np.ndarray]]:
         """The 'pre', 'enc' and 'dec' states of each sequence in a stack of
@@ -397,23 +391,18 @@ def ctc_loss(log_probs, labels) -> float:
     if T < min_frames:
         raise CtcInfeasibleError(
             f"label needs at least {min_frames} frames, got {T}")
-    ext = [BLANK]
-    for v in labels:
-        ext.extend([v, BLANK])
-    S = len(ext)
-    alpha = np.full(S, -np.inf)
-    alpha[0] = lp[0, BLANK]
-    alpha[1] = lp[0, ext[1]]
+    ext = np.full(2 * len(labels) + 1, BLANK)
+    ext[1::2] = labels
+    # a state may also come from two back when it holds a label unlike the
+    # one there (two blanks are alike)
+    skip = np.flatnonzero(ext[2:] != ext[:-2]) + 2
+    alpha = np.full(len(ext), -np.inf)
+    alpha[:2] = lp[0, ext[:2]]
     for t in range(1, T):
-        prev = alpha
-        alpha = np.full(S, -np.inf)
-        for s in range(S):
-            a = prev[s]
-            if s >= 1:
-                a = np.logaddexp(a, prev[s - 1])
-            if s >= 2 and ext[s] != BLANK and ext[s] != ext[s - 2]:
-                a = np.logaddexp(a, prev[s - 2])
-            alpha[s] = a + lp[t, ext[s]]
+        a = alpha.copy()
+        a[1:] = np.logaddexp(a[1:], alpha[:-1])
+        a[skip] = np.logaddexp(a[skip], alpha[skip - 2])
+        alpha = a + lp[t, ext]
     total = np.logaddexp(alpha[-1], alpha[-2])
     if not np.isfinite(total):
         raise CtcInfeasibleError("label sequence has zero probability")

@@ -345,14 +345,26 @@ def read_scores(scores_path) -> list[dict]:
 
 def _labelled(scores_path, manifest_path, cfg: PipelineConfig, splits) -> tuple:
     """The manifest records and raw scores of the score rows in `splits`
-    whose correctness is known, and the number of rows in `splits` whose
-    correctness is not (NaN), which carry nothing to fit or score against."""
+    whose correctness is known, the number of rows in `splits` whose
+    correctness is not (NaN), which carry nothing to fit or score against,
+    and the level of the scores (None if there are no rows). A scores file
+    holds one row per (signal_id, listener_id) and one level."""
     records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent)
     by_key = {(r.signal_id, r.listener_id): r for r in records}
+    rows = read_scores(scores_path)
+    levels = {row["level"] for row in rows}
+    if len(levels) > 1 or not levels <= set(reps.LEVELS):
+        raise reps.FormatError(f"{scores_path}: score rows must share one level of "
+                               f"{', '.join(reps.LEVELS)}; found {', '.join(sorted(levels))}")
     labelled, raw, n_rows = [], [], 0
-    for row in read_scores(scores_path):
-        rec = by_key.get((row["signal_id"], row["listener_id"]))
+    for row in rows:
+        key = (row["signal_id"], row["listener_id"])
+        # each record joins one score row, so a repeated row finds its record gone
+        rec = by_key.pop(key, None)
         if rec is None:
+            if key in {(r.signal_id, r.listener_id) for r in records}:
+                raise reps.FormatError(
+                    f"{scores_path}: duplicate score row for (signal_id, listener_id) {key}")
             raise PipelineError(
                 f"score row ({row['signal_id']}, {row['listener_id']}) not in manifest")
         if rec.split in splits:
@@ -360,13 +372,13 @@ def _labelled(scores_path, manifest_path, cfg: PipelineConfig, splits) -> tuple:
             if math.isfinite(rec.correctness):
                 labelled.append(rec)
                 raw.append(row["raw_score"])
-    return labelled, np.array(raw), n_rows - len(labelled)
+    return labelled, np.array(raw), n_rows - len(labelled), next(iter(levels), None)
 
 
 def run_fit(scores_path, manifest_path, params_path, cfg: PipelineConfig) -> calib.LogisticParams:
     """Fit the logistic mapping on the configured split; never reads eval WCS."""
     splits = FIT_SPLITS[cfg.fit_split]
-    recs, raw, n_dropped = _labelled(scores_path, manifest_path, cfg, splits)
+    recs, raw, n_dropped, _ = _labelled(scores_path, manifest_path, cfg, splits)
     if not (recs or n_dropped):
         raise PipelineError(f"no trials in split(s) {splits} to fit on")
     truth = np.array([r.correctness for r in recs])
@@ -392,7 +404,7 @@ def run_eval(scores_path, manifest_path, params_path, out_dir,
     params_raw = reps.require_keys(reps.read_json(params_path, "params"), ("a", "b"),
                                    str(params_path))
     params = calib.LogisticParams(a=params_raw["a"], b=params_raw["b"])
-    rows, raw, n_dropped = _labelled(scores_path, manifest_path, cfg, ("eval",))
+    rows, raw, n_dropped, level = _labelled(scores_path, manifest_path, cfg, ("eval",))
     if not (rows or n_dropped):
         raise PipelineError("eval split is empty")
     if not rows:
@@ -401,7 +413,7 @@ def run_eval(scores_path, manifest_path, params_path, out_dir,
     truth = np.array([r.correctness for r in rows])
     mapped = calib.logistic(raw, params)
     report = {
-        "level": cfg.level,
+        "level": level,
         "params": {"a": params.a, "b": params.b},
         "trial": {**calib.metrics(mapped, truth, kt_scores=raw),
                   "n_trials": len(rows), "grouping": "trial"},

@@ -280,12 +280,15 @@ def decode_greedy_one(model, enc_out):
 
 # (config, input bands). The default model decodes almost every input to the
 # same three tokens; on the small ones the decode length depends on the input:
-# 0 or 1 tokens (a silent clip ends at once), 4 or 5, and 0 or 6.
+# 0 or 1 tokens (a silent clip ends at once), 4 or 5, and 0 or 6. The last is
+# the third small one under a cap of 4, which its 6-token decodes reach with
+# no end symbol.
 ORACLE_MODELS = [
     (ToyAsrConfig(), 20),
     (ToyAsrConfig(d_model=8, n_heads=2, seed_tag=1, vocab_size=5, max_decode_len=8), 6),
     (ToyAsrConfig(d_model=8, n_heads=2, seed_tag=1, vocab_size=8, max_decode_len=8), 6),
     (ToyAsrConfig(d_model=16, n_heads=2, seed_tag=0, vocab_size=5, max_decode_len=8), 6),
+    (ToyAsrConfig(d_model=16, n_heads=2, seed_tag=0, vocab_size=5, max_decode_len=4), 6),
 ]
 
 
@@ -337,9 +340,11 @@ class TestBatchedForward:
         (1, ["silent", "constant", "noise", "silent"], {0, 1}),
         (2, ["noise"] * 6, {4, 5}),
         (3, ["noise"] * 6, {0, 6}),
+        (4, ["noise", "silent", "noise", "noise", "silent", "silent"], {0, 4}),
     ])
     def test_stack_shrinks_as_sequences_end(self, which, kinds, lengths):
-        # decodes that end at different steps, and an end at the first step
+        # decodes that end at different steps, an end at the first step, and
+        # decodes stopped by the cap beside ones that end at once
         cfg, bands = ORACLE_MODELS[which]
         clips = [clip(kind, seed, 10.0 if kind == "noise" else 2.0, 16, bands)
                  for seed, kind in enumerate(kinds)]
@@ -359,7 +364,66 @@ class TestBatchedForward:
                 (level, "right", "s")
 
 
+def ctc_loss_per_state(log_probs, labels):
+    """Oracle: the CTC forward recursion updating one label state at a time,
+    with one scalar logaddexp per transition."""
+    lp, labels = asr._validate_ctc(log_probs, labels)
+    T = lp.shape[0]
+    min_frames = len(labels) + sum(1 for a, b in zip(labels, labels[1:]) if a == b)
+    if T < min_frames:
+        raise CtcInfeasibleError(f"label needs at least {min_frames} frames, got {T}")
+    ext = [asr.BLANK]
+    for v in labels:
+        ext.extend([v, asr.BLANK])
+    S = len(ext)
+    alpha = np.full(S, -np.inf)
+    alpha[0] = lp[0, asr.BLANK]
+    alpha[1] = lp[0, ext[1]]
+    for t in range(1, T):
+        prev = alpha
+        alpha = np.full(S, -np.inf)
+        for s in range(S):
+            a = prev[s]
+            if s >= 1:
+                a = np.logaddexp(a, prev[s - 1])
+            if s >= 2 and ext[s] != asr.BLANK and ext[s] != ext[s - 2]:
+                a = np.logaddexp(a, prev[s - 2])
+            alpha[s] = a + lp[t, ext[s]]
+    total = np.logaddexp(alpha[-1], alpha[-2])
+    if not np.isfinite(total):
+        raise CtcInfeasibleError("label sequence has zero probability")
+    return float(-total)
+
+
+@st.composite
+def ctc_instances(draw):
+    """Log-probabilities (T <= 40, V <= 8), some entries exactly zero, and up
+    to 10 labels drawn from a small alphabet so that repeats are common."""
+    T, V = draw(st.integers(1, 40)), draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    probs = rng.dirichlet(np.full(V, draw(st.sampled_from([0.2, 1.0, 5.0]))), size=T)
+    if draw(st.booleans()):
+        probs[rng.random((T, V)) < 0.3] = 0.0
+        probs[probs.sum(axis=1) == 0.0, 0] = 1.0
+        probs /= probs.sum(axis=1, keepdims=True)
+    labels = draw(st.lists(st.integers(1, min(V - 1, 3)), min_size=1, max_size=10))
+    with np.errstate(divide="ignore"):
+        return np.log(probs), labels
+
+
 class TestCtc:
+    @settings(max_examples=300, deadline=None)
+    @given(ctc_instances())
+    def test_equals_per_state_loop(self, instance):
+        lp, labels = instance
+        try:
+            want = ctc_loss_per_state(lp, labels)
+        except CtcInfeasibleError:
+            with pytest.raises(CtcInfeasibleError):
+                ctc_loss(lp, labels)
+            return
+        assert ctc_loss(lp, labels) == want
+
     def test_single_frame(self):
         lp = np.log([[0.5, 0.5]])
         assert abs(ctc_loss(lp, [1]) - (-np.log(0.5))) < 1e-12

@@ -569,6 +569,46 @@ class TestSimFitEval:
         assert all(np.isfinite(report[s][k]) for s in ("trial", "trial_raw")
                    for k in ("rmse", "ncc", "kt"))
 
+    def test_eval_reports_the_level_of_its_scores(self, eval_run, tmp_path, capsys):
+        # scores at enc, evaluated under the default configuration's dec level
+        manifest, scores, params, _ = eval_run
+        out = tmp_path / "out"
+        assert cli.main(["--manifest", str(manifest), "eval", "--scores", str(scores),
+                         "--params", str(params), "--out-dir", str(out)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("level: enc\n")
+        assert json.loads((out / "report.json").read_text())["level"] == "enc"
+
+    @pytest.mark.parametrize("levels, found", [(("enc", "dec"), "dec, enc"), (("bogus",), "bogus")],
+                             ids=["two-levels", "unknown-level"])
+    def test_scores_must_hold_one_known_level(self, eval_run, tmp_path, levels, found):
+        manifest, scores, params, cfg = eval_run
+        header, *rows = Path(scores).read_text().splitlines(keepends=True)
+        fields = [row.split(",") for row in rows]
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + "".join(",".join([*f[:3], levels[i % len(levels)], *f[4:]])
+                                        for i, f in enumerate(fields)))
+        cause = f"{bad}: score rows must share one level of input, pre, enc, dec; found {found}"
+        with pytest.raises(reps.FormatError, match=re.escape(cause)):
+            pipeline.run_fit(bad, manifest, tmp_path / "p.json", cfg)
+        with pytest.raises(reps.FormatError, match=re.escape(cause)):
+            pipeline.run_eval(bad, manifest, params, tmp_path, cfg)
+
+    def test_duplicate_score_rows_are_rejected(self, eval_run, tmp_path, capsys):
+        # a repeated row would weight its trial twice in the fit and the metrics
+        manifest, scores, params, cfg = eval_run
+        lines = Path(scores).read_text().splitlines(keepends=True)
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("".join(lines + lines[-1:]))
+        sid, lid = lines[-1].split(",")[:2]
+        cause = f"{repeated}: duplicate score row for (signal_id, listener_id) ('{sid}', '{lid}')"
+        with pytest.raises(reps.FormatError, match=re.escape(cause)):
+            pipeline.run_fit(repeated, manifest, tmp_path / "p.json", cfg)
+        with pytest.raises(reps.FormatError, match=re.escape(cause)):
+            pipeline.run_eval(repeated, manifest, params, tmp_path, cfg)
+        assert cli.main(["--manifest", str(manifest), "fit", "--scores", str(repeated),
+                         "--params", str(tmp_path / "p.json")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {cause}\n"
+
     def test_eval_without_labels_raises(self, eval_run, tmp_path):
         manifest, scores, params, cfg = eval_run
         entries = json.loads(Path(manifest).read_text())
