@@ -112,11 +112,9 @@ def main(argv=None) -> int:
                                        args.params, args.out_dir, cfg)
             _print_report(report, Path(args.out_dir) / "report.json")
             return EXIT_OK
-        if args.command == "report":
-            _print_report(reps.read_json(args.report, "report"), args.report)
-            return EXIT_OK
-        print(f"error: unknown command {args.command}", file=sys.stderr)
-        return EXIT_USAGE
+        # report, the one command left: the parser exits 1 on an unknown one
+        _print_report(reps.read_json(args.report, "report"), args.report)
+        return EXIT_OK
     except pipeline.DATA_ERRORS as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -17,7 +17,6 @@ import json
 import math
 import types
 import typing
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,38 +122,39 @@ def _trial(result: StageResult, cfg: PipelineConfig, stage: str, signal_id: str)
             raise PipelineError(f"{stage} failed for {signal_id}: {e}") from e
 
 
-def _input_keys(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig) -> list:
-    """Each trial's (input key, source path, channel) for its ref-left,
-    ref-right, proc-left and proc-right sources. The key is
-    sha256(sha256(file bytes) || repr(cfg.feat) || channel), or None if the
-    file cannot be read; each distinct resolved file is hashed once."""
+def _sources(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig):
+    """The distinct inputs of `records`, and each trial's place among them.
+
+    `sources` lists (first trial's signal_id, input key, path, channel) once
+    per distinct input key, and once per unreadable source file (key None).
+    The key is sha256(sha256(file bytes) || repr(cfg.feat) || channel); each
+    (name, channel) is resolved and keyed once, and each resolved file hashed
+    once. `slots[i]` holds trial i's ref-left, ref-right, proc-left and
+    proc-right sources as indices into `sources`."""
     feat = repr(cfg.feat).encode()
-
-    @functools.cache
-    def digest(path: Path) -> bytes | None:
-        try:
-            return hashlib.sha256(path.read_bytes()).digest()
-        except OSError:
-            return None
-
-    @functools.cache
-    def slot(ref: str, channel: str) -> tuple:
-        path = reps.resolve_path(manifest_path, ref)
-        return ((d := digest(path)) and _hash(d, feat, channel.encode()), path, channel)
-
-    return [[slot(ref, channel) for ref, channel in
-             zip((r.ref_left, r.ref_right, r.proc_left, r.proc_right), reps.CHANNELS * 2)]
-            for r in records]
-
-
-def _distinct(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig):
-    """(first trial's signal_id, key, path, channel) once per distinct input
-    key, and once per unreadable source file."""
-    first: dict = {}
-    for rec, slots in zip(records, _input_keys(records, manifest_path, cfg)):
-        for key, path, channel in slots:
-            first.setdefault(key or path, (rec.signal_id, key, path, channel))
-    return first.values()
+    digests: dict[Path, bytes | None] = {}
+    named: dict[tuple, int] = {}  # (name in the manifest, channel) -> index
+    index: dict = {}  # input key, or the path of an unreadable file -> index
+    sources, slots = [], []
+    for rec in records:
+        slot = []
+        for ref, channel in zip((rec.ref_left, rec.ref_right, rec.proc_left, rec.proc_right),
+                                reps.CHANNELS * 2):
+            if (ref, channel) not in named:
+                path = reps.resolve_path(manifest_path, ref)
+                if path not in digests:
+                    try:
+                        digests[path] = hashlib.sha256(path.read_bytes()).digest()
+                    except OSError:
+                        digests[path] = None
+                key = (d := digests[path]) and _hash(d, feat, channel.encode())
+                if (key or path) not in index:
+                    index[key or path] = len(sources)
+                    sources.append((rec.signal_id, key, path, channel))
+                named[ref, channel] = index[key or path]
+            slot.append(named[ref, channel])
+        slots.append(tuple(slot))
+    return sources, slots
 
 
 @functools.lru_cache(maxsize=4096)
@@ -171,7 +171,7 @@ def run_featurize(manifest_path, cache_dir, cfg: PipelineConfig) -> StageResult:
     cache.mkdir(parents=True, exist_ok=True)
     result = StageResult()
     by_path: dict[Path, list] = {}
-    for signal_id, key, path, channel in _distinct(records, manifest_path, cfg):
+    for signal_id, key, path, channel in _sources(records, manifest_path, cfg)[0]:
         by_path.setdefault(path, []).append((signal_id, key, channel))
 
     for path, uses in by_path.items():
@@ -236,7 +236,7 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
                 result.written += len(todo)
 
     pending: dict[tuple, list] = {}
-    for signal_id, key, path, channel in _distinct(records, manifest_path, cfg):
+    for signal_id, key, path, channel in _sources(records, manifest_path, cfg)[0]:
         item = None
         with _trial(result, cfg, "forward", signal_id):
             src = key and _rep_path(cache, key, "input", cfg.asr)
@@ -263,59 +263,51 @@ SCORE_FIELDS = ("signal_id", "listener_id", "system_id", "level",
                 "raw_score", "zero_norm_frames")
 
 
-class _UntilLastUse:
-    """Values computed on first use and dropped after their last counted use."""
-
-    def __init__(self, keys):
-        self.left = Counter(keys)
-        self.held: dict = {}
-
-    def get(self, key, compute):
-        value = self.held.pop(key) if key in self.held else compute()
-        self.left[key] -= 1
-        if self.left[key] > 0:
-            self.held[key] = value
-        return value
-
-
 def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> StageResult:
     """Score every trial at the configured level and write scores.csv.
 
-    Each distinct .hrep is read once and each distinct (ref, proc) tuple of
-    four input keys is scored once; both are held only until their last use.
+    Each distinct .hrep is read once and each distinct tuple of four sources
+    is scored once; a representation is dropped after the last trial that
+    names it.
     """
-    records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent)
+    records = sorted(reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent),
+                     key=lambda r: (r.signal_id, r.listener_id))
+    sources, slots = _sources(records, manifest_path, cfg)
     cache = Path(cache_dir)
     result = StageResult()
     rows = []
-    trials = sorted(zip(records, _input_keys(records, manifest_path, cfg)),
-                    key=lambda t: (t[0].signal_id, t[0].listener_id))
-    # a source is known by its input key; an unreadable one, which has none, by its slot
-    ids = [tuple(slot[0] or slot for slot in slots) for _, slots in trials]
-    scores = _UntilLastUse(ids)
-    loaded = _UntilLastUse(i for pairing in set(ids) for i in pairing)
+    last = {i: n for n, slot in enumerate(slots) for i in slot}  # last trial naming each source
+    held: dict[int, reps.RepSequence] = {}
+    scored: dict[tuple, sim.SimilarityScore] = {}
 
-    def load(slot):
-        key, path, channel = slot
-        p = key and _rep_path(cache, key, cfg.level, cfg.asr)
-        if not (p and p.exists()):
-            raise PipelineError(f"missing {cfg.level} representation of {path} ({channel})")
-        return reps.read_reps(p)
+    def load(i, channel):
+        if i not in held:
+            _, key, path, _ = sources[i]  # an unreadable file has one source for both channels
+            p = key and _rep_path(cache, key, cfg.level, cfg.asr)
+            if not (p and p.exists()):
+                raise PipelineError(f"missing {cfg.level} representation of {path} ({channel})")
+            held[i] = reps.read_reps(p)
+        return held[i]
 
-    def score(slots):
-        chans = [loaded.get(slot[0] or slot, functools.partial(load, slot)) for slot in slots]
+    def score(slot):
+        chans = [load(i, channel) for i, channel in zip(slot, reps.CHANNELS * 2)]
         return sim.binaural_similarity(reps.BinauralRep(*chans[:2]),
                                        reps.BinauralRep(*chans[2:]), cfg.dtw_radius)
 
-    for (rec, slots), pairing in zip(trials, ids):
+    for n, (rec, slot) in enumerate(zip(records, slots)):
         with _trial(result, cfg, "sim", rec.signal_id):
-            value = scores.get(pairing, functools.partial(score, slots))
+            if slot not in scored:
+                scored[slot] = score(slot)
+            value = scored[slot]
             rows.append({
                 "signal_id": rec.signal_id, "listener_id": rec.listener_id,
                 "system_id": rec.system_id, "level": cfg.level,
                 "raw_score": f"{value.value:.12g}",
                 "zero_norm_frames": value.zero_norm_frames,
             })
+        for i in slot:
+            if last[i] == n:
+                held.pop(i, None)
 
     scores_path = Path(scores_path)
     scores_path.parent.mkdir(parents=True, exist_ok=True)
@@ -328,12 +320,15 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
 
 
 def read_scores(scores_path) -> list[dict]:
-    with Path(scores_path).open(newline="") as f:
-        reader = csv.DictReader(ln for ln in f if not ln.startswith("#"))
-        missing = [k for k in SCORE_FIELDS if k not in (reader.fieldnames or ())]
-        if missing:
-            raise reps.FormatError(f"{scores_path}: no {missing[0]!r} column")
-        rows = list(reader)
+    try:
+        with Path(scores_path).open(newline="") as f:
+            reader = csv.DictReader(ln for ln in f if not ln.startswith("#"))
+            missing = [k for k in SCORE_FIELDS if k not in (reader.fieldnames or ())]
+            if missing:
+                raise reps.FormatError(f"{scores_path}: no {missing[0]!r} column")
+            rows = list(reader)
+    except csv.Error as e:  # e.g. a field over csv.field_size_limit()
+        raise reps.FormatError(f"{scores_path}: {e}") from e
     for i, row in enumerate(rows):
         try:
             row["raw_score"] = float(row["raw_score"])
@@ -403,6 +398,9 @@ def run_eval(scores_path, manifest_path, params_path, out_dir,
     and system-wise CSVs."""
     params_raw = reps.require_keys(reps.read_json(params_path, "params"), ("a", "b"),
                                    str(params_path))
+    for key in ("a", "b"):
+        if not _matches(params_raw[key], float):
+            raise reps.FormatError(f"{params_path}: {key!r} must be a number")
     params = calib.LogisticParams(a=params_raw["a"], b=params_raw["b"])
     rows, raw, n_dropped, level = _labelled(scores_path, manifest_path, cfg, ("eval",))
     if not (rows or n_dropped):

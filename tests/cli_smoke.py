@@ -8,10 +8,14 @@ at every level, sim, fit, eval and report. Then a dec-level sim and fit read a
 config file whose settings `--dtw-radius 0 --lenient` and `--fit-split
 train_all` override. Exact and fast DTW agree on these short sequences, and
 the manifest has no train trials, so their outputs must equal the dec level's.
-Exits non-zero unless each command exits 0, those outputs are equal, every
-JSON output is strict JSON, and no scipy module was imported.
+Last, eval reads a params file whose `a` is a string and fit a scores file
+with a field over the csv module's size limit; both must exit 2, a data
+error, not 3. Exits non-zero unless each command exits as stated, those
+outputs are equal, every JSON output is strict JSON, and no scipy module was
+imported.
 """
 
+import csv
 import json
 import sys
 import tempfile
@@ -91,6 +95,17 @@ def main() -> int:
             rc = cli.main(base + argv)
             if rc != cli.EXIT_OK:
                 print(f"hirsim {' '.join(argv)} exited {rc}", file=sys.stderr)
+                return 1
+        bad_params, bad_scores = root / "params_bad.json", root / "scores_bad.csv"
+        bad_params.write_text(json.dumps({"a": "1", "b": 1}))
+        header = (root / "scores_dec.csv").read_text().splitlines()[0]
+        bad_scores.write_text(f"{header}\n{'x' * (csv.field_size_limit() + 1)}\n")
+        for argv in (["eval", "--scores", str(root / "scores_dec.csv"), "--params",
+                      str(bad_params), "--out-dir", str(root / "out_bad")],
+                     ["fit", "--scores", str(bad_scores), "--params", str(root / "params_out.json")]):
+            rc = cli.main(base + argv)
+            if rc != cli.EXIT_DATA:
+                print(f"hirsim {' '.join(argv)} exited {rc}, not {cli.EXIT_DATA}", file=sys.stderr)
                 return 1
         for name in ("scores_{}.csv", "params_{}.json"):
             if (root / name.format("flags")).read_bytes() != (root / name.format("dec")).read_bytes():

@@ -1,9 +1,11 @@
 import csv
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +398,38 @@ class TestSimFitEval:
         assert rows[0]["raw_score"] == rows[1]["raw_score"] == rows[5]["raw_score"]
         assert rows[4]["raw_score"] < rows[0]["raw_score"]
 
+    def test_sim_frees_each_representation_after_its_last_trial(self, tmp_path, monkeypatch):
+        # s00n0-s00n2 share ref00 and s01n0-s01n2 ref01; no processed file is shared
+        m = build_smoke_dataset(tmp_path / "d", n_signals=2, snrs=(10.0, 0.0, -5.0))
+        cfg = PipelineConfig(level="input")
+        pipeline.run_featurize(m, tmp_path / "cache", cfg)
+        read, alive, current = [], [], []  # (path, weak reference to what was read from it)
+        read_reps, similarity = reps.read_reps, sim.binaural_similarity
+
+        def recording_read(path):
+            rep = read_reps(path)
+            read.append((path, weakref.ref(rep)))
+            return rep
+
+        def checking_similarity(ref, proc, radius):
+            gc.collect()
+            alive.append({p for p, r in read if r() is not None})
+            current.append({p for p, r in read
+                            if any(r() is x for x in (ref.left, ref.right, proc.left, proc.right))})
+            return similarity(ref, proc, radius)
+
+        monkeypatch.setattr(reps, "read_reps", recording_read)
+        monkeypatch.setattr(sim, "binaural_similarity", checking_similarity)
+        pipeline.run_sim(m, tmp_path / "cache", tmp_path / "scores.csv", cfg)
+        paths = [p for p, _ in read]
+        assert len(paths) == len(set(paths)) == 2 * 2 + 6 * 2
+        assert [len(c) for c in current] == [4] * 6
+        # only the pairing being scored is alive: a reference stays from its
+        # first trial to its last, and is gone at the next signal's first
+        assert alive == current
+        assert current[0] & current[1] == current[1] & current[2] == set(paths[:2])
+        assert not current[2] & current[3]
+
     def test_join_rejects_a_score_row_not_in_the_manifest(self, tmp_path):
         m = self_manifest(tmp_path / "d")
         scores = write_scores(tmp_path / "s.csv", [("c0", "L0", 0.9), ("ghost", "L0", 0.5)])
@@ -609,6 +643,29 @@ class TestSimFitEval:
                          "--params", str(tmp_path / "p.json")]) == cli.EXIT_DATA
         assert capsys.readouterr().err == f"data error: {cause}\n"
 
+    @pytest.mark.parametrize("value", ["1", None, [1], True], ids=["str", "null", "array", "bool"])
+    @pytest.mark.parametrize("key", ["a", "b"])
+    def test_params_must_be_numbers(self, eval_run, tmp_path, capsys, key, value):
+        manifest, scores, _, _ = eval_run
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"a": 1, "b": 1, key: value}))
+        assert cli.main(["--manifest", str(manifest), "eval", "--scores", str(scores),
+                         "--params", str(params), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {params}: {key!r} must be a number\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_scores_field_over_the_csv_limit_is_data_error(self, eval_run, tmp_path, capsys):
+        manifest, scores, _, _ = eval_run
+        header, first, *rows = Path(scores).read_text().splitlines(keepends=True)
+        fields = first.split(",")
+        fields[2] = "x" * (csv.field_size_limit() + 1)
+        big = tmp_path / "big.csv"
+        big.write_text(header + ",".join(fields) + "".join(rows))
+        assert cli.main(["--manifest", str(manifest), "fit", "--scores", str(big),
+                         "--params", str(tmp_path / "p.json")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {big}: field larger than field limit ({csv.field_size_limit()})\n")
+
     def test_eval_without_labels_raises(self, eval_run, tmp_path):
         manifest, scores, params, cfg = eval_run
         entries = json.loads(Path(manifest).read_text())
@@ -634,6 +691,93 @@ class TestCli:
         with pytest.raises(SystemExit) as e:
             cli.main(["sim", "--level", "bogus"])
         assert e.value.code == cli.EXIT_USAGE
+
+    def test_unknown_command_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["bogus"])
+        assert e.value.code == cli.EXIT_USAGE
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_missing_manifest_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["featurize"])
+        assert e.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: --manifest is required for this command\n"
+
+    def test_unexpected_exception_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        def crash(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pipeline, "run_featurize", crash)
+        assert cli.main(["--manifest", str(self_manifest(tmp_path)), "featurize"]) == \
+            cli.EXIT_INTERNAL
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+    def test_forward_before_featurize_names_the_missing_input(self, tmp_path, capsys):
+        m = self_manifest(tmp_path / "d")
+        rc = cli.main(["--manifest", str(m), "--cache-dir", str(tmp_path / "c"), "forward"])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == ("data error: forward failed for c0: missing input "
+                                           f"representation of {m.parent}/audio/clean0.wav (left)\n")
+
+    def test_forward_rejects_the_input_level(self, tmp_path, capsys):
+        rc = cli.main(["--manifest", str(self_manifest(tmp_path)), "--cache-dir",
+                       str(tmp_path / "c"), "forward", "--levels", "enc,input"])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == "data error: forward cannot produce level 'input'\n"
+
+    def test_non_numeric_raw_score_is_data_error(self, tmp_path, capsys):
+        scores = write_scores(tmp_path / "s.csv", [("c0", "L0", "high")])
+        assert cli.main(["--manifest", str(self_manifest(tmp_path)),
+                         "fit", "--scores", str(scores)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {scores}: score row 0: could not convert string to float: 'high'\n")
+
+    def test_manifest_that_is_not_an_array_is_data_error(self, tmp_path, capsys):
+        m = tmp_path / "manifest.json"
+        m.write_text(json.dumps({"signal_id": "c0"}))
+        assert cli.main(["--manifest", str(m), "featurize"]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {m}: manifest must be a JSON array\n"
+
+    @pytest.mark.parametrize("corrupt, cause", [
+        (lambda raw: raw[:5] + b"\x09" + raw[6:], "invalid level/channel code"),
+        (lambda raw: raw[:20], "truncated signal_id"),
+        (lambda raw: raw[:-4] + np.array([np.nan], "<f4").tobytes(),
+         "non-finite values in payload"),
+    ], ids=["level-code", "signal-id", "nan-payload"])
+    def test_malformed_hrep_source_is_data_error(self, tmp_path, capsys, rng, corrupt, cause):
+        d = tmp_path / "d"
+        d.mkdir()
+        src = d / "a.hrep"
+        reps.write_reps(reps.RepSequence(rng.normal(size=(4, 3)), "enc", "left", "signal-a"), src)
+        src.write_bytes(corrupt(src.read_bytes()))
+        m = d / "manifest.json"
+        m.write_text(json.dumps([{
+            "signal_id": "s0", "listener_id": "L0", "system_id": "hrep", "correctness": 0.5,
+            "ref_left": "a.hrep", "ref_right": "a.hrep", "proc_left": "a.hrep",
+            "proc_right": "a.hrep", "split": "eval"}]))
+        rc = cli.main(["--manifest", str(m), "--cache-dir", str(tmp_path / "c"), "featurize"])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: featurize failed for s0: {src}: {cause}\n"
+
+    def test_explicit_fft_size(self, tmp_path, capsys):
+        # 25 ms at 16 kHz is 400 samples, whose default FFT size is 512
+        m = self_manifest(tmp_path / "d")
+
+        def featurize(fft_size):
+            cfg_path, cache = tmp_path / f"cfg{fft_size}.json", tmp_path / f"c{fft_size}"
+            cfg_path.write_text(json.dumps({"feat": {"fft_size": fft_size}}))
+            rc = cli.main(["--config", str(cfg_path), "--manifest", str(m),
+                           "--cache-dir", str(cache), "featurize"])
+            return rc, sorted(r.data.tobytes() for r in map(reps.read_reps, cache.glob("*.hrep")))
+
+        rc, explicit = featurize(512)
+        assert rc == cli.EXIT_OK
+        assert explicit == featurize(None)[1] and len(explicit) == 4
+        capsys.readouterr()
+        assert featurize(256) == (cli.EXIT_DATA, [])
+        assert capsys.readouterr().err == (
+            "data error: featurize failed for c0: fft_size smaller than window\n")
 
     def test_missing_manifest_is_data_error(self, tmp_path):
         rc = cli.main(["--manifest", str(tmp_path / "none.json"),
