@@ -126,15 +126,16 @@ def _sources(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig
     """The distinct inputs of `records`, and each trial's place among them.
 
     `sources` lists (first trial's signal_id, input key, path, channel) once
-    per distinct input key, and once per unreadable source file (key None).
-    The key is sha256(sha256(file bytes) || repr(cfg.feat) || channel); each
-    (name, channel) is resolved and keyed once, and each resolved file hashed
-    once. `slots[i]` holds trial i's ref-left, ref-right, proc-left and
-    proc-right sources as indices into `sources`."""
+    per distinct input key, and once per unreadable source file, whose key is
+    the OSError that reading it raised. The key is sha256(sha256(file bytes)
+    || repr(cfg.feat) || channel); each (name, channel) is resolved and keyed
+    once, and each resolved file hashed once. `slots[i]` holds trial i's
+    ref-left, ref-right, proc-left and proc-right sources as indices into
+    `sources`."""
     feat = repr(cfg.feat).encode()
-    digests: dict[Path, bytes | None] = {}
+    digests: dict[Path, bytes | OSError] = {}
     named: dict[tuple, int] = {}  # (name in the manifest, channel) -> index
-    index: dict = {}  # input key, or the path of an unreadable file -> index
+    index: dict = {}  # input key, or the error of an unreadable file -> index
     sources, slots = [], []
     for rec in records:
         slot = []
@@ -145,13 +146,14 @@ def _sources(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig
                 if path not in digests:
                     try:
                         digests[path] = hashlib.sha256(path.read_bytes()).digest()
-                    except OSError:
-                        digests[path] = None
-                key = (d := digests[path]) and _hash(d, feat, channel.encode())
-                if (key or path) not in index:
-                    index[key or path] = len(sources)
+                    except OSError as e:
+                        digests[path] = e  # one error per file: one source for both channels
+                d = digests[path]
+                key = d if isinstance(d, OSError) else _hash(d, feat, channel.encode())
+                if key not in index:
+                    index[key] = len(sources)
                     sources.append((rec.signal_id, key, path, channel))
-                named[ref, channel] = index[key or path]
+                named[ref, channel] = index[key]
             slot.append(named[ref, channel])
         slots.append(tuple(slot))
     return sources, slots
@@ -176,9 +178,10 @@ def run_featurize(manifest_path, cache_dir, cfg: PipelineConfig) -> StageResult:
 
     for path, uses in by_path.items():
         signal_id = uses[0][0]
-        # an unreadable source has no key; reading it below raises the cause
+        # an unreadable source's key is its error; reading it below raises the cause
         todo = [(key, channel) for _, key, channel in uses
-                if not (key and _rep_path(cache, key, "input", cfg.asr).exists())]
+                if not (isinstance(key, str)
+                        and _rep_path(cache, key, "input", cfg.asr).exists())]
         result.skipped += len(uses) - len(todo)
         if not todo:
             continue
@@ -198,6 +201,12 @@ def run_featurize(manifest_path, cache_dir, cfg: PipelineConfig) -> StageResult:
 # scores of a chunk grow with N, so this bounds peak memory: 8 of
 # `shared_short`'s 12-frame inputs, one of `unique_long`'s 100-frame inputs.
 FORWARD_BUDGET = 100
+# encoder outputs of one shape that one decode stack holds, gathered across
+# forward chunks. The decoder's cross-attention scores are only (N, heads,
+# step, T'), so 8 of `unique_long`'s 100-frame outputs decode together. A
+# count, not a budget of keys: a stack runs until its longest decode ends, and
+# larger stacks save little time for more memory.
+DECODE_STACK = 8
 
 
 def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
@@ -206,8 +215,12 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
     requested hidden-representation levels.
 
     Inputs whose PreNet outputs have the same shape go through the encoder
-    and decoder as one stack, in chunks of at most FORWARD_BUDGET encoder
-    frames (or one input); the outputs equal those of one input at a time.
+    as one stack, in chunks of at most FORWARD_BUDGET encoder frames (or one
+    input), and their pre and enc levels are written as each chunk ends. The
+    encoder outputs still to be decoded are kept, grouped by shape across
+    chunks, and go through the greedy decoder DECODE_STACK at a time. A stack
+    that fails runs each of its inputs alone, so the failure names its trial.
+    The outputs equal those of one input at a time.
     """
     records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent)
     cache = Path(cache_dir)
@@ -216,46 +229,72 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
     for lv in levels:
         if lv not in MODEL_LEVELS:
             raise PipelineError(f"forward cannot produce level {lv!r}")
+    # (model, PreNet frames) -> [(input, array)], an input being (signal_id,
+    # input key, channel and signal_id of its input .hrep, levels to write)
+    encoding: dict[tuple, list] = {}  # of PreNet outputs, in one forward chunk
+    decoding: dict[tuple, list] = {}  # of encoder outputs awaiting a decode stack
 
-    def forward(chunk):
-        """Write the levels of each (signal_id, key, features, PreNet output,
-        levels to write) in `chunk`, whose PreNet outputs share one shape."""
-        model = asr.shared_model(cfg.asr, chunk[0][2].dim)
-        hidden = None
-        if len(chunk) > 1:
-            # on a data error each input runs alone below, naming the failing trial
+    def stacked(step, stack, then):
+        """then(input, array, output) for each (input, array) of `stack`, the
+        output being step's for that array in one call on all of them; if that
+        call raises a data error, each array goes through step alone."""
+        out = None
+        if len(stack) > 1:
             with contextlib.suppress(*DATA_ERRORS):
-                hidden = model.hidden(np.stack([item[3] for item in chunk]))
-        for i, (signal_id, key, features, pre, todo) in enumerate(chunk):
-            with _trial(result, cfg, "forward", signal_id):
-                h = hidden[i] if hidden is not None else model.hidden(pre[None])[0]
-                for lv in todo:
-                    reps.write_reps(reps.RepSequence(h[lv], lv, features.channel,
-                                                     features.signal_id),
-                                    _rep_path(cache, key, lv, cfg.asr))
-                result.written += len(todo)
+                out = step(np.stack([x for _, x in stack]))
+        for i, (item, x) in enumerate(stack):
+            with _trial(result, cfg, "forward", item[0]):
+                then(item, x, out[i] if out is not None else step(x[None])[0])
 
-    pending: dict[tuple, list] = {}
+    def write(item, lv, data):
+        _, key, channel, rep_id, _ = item
+        reps.write_reps(reps.RepSequence(data, lv, channel, rep_id),
+                        _rep_path(cache, key, lv, cfg.asr))
+        result.written += 1
+
+    def encoded(group, item, pre, enc):
+        for lv, data in (("pre", pre), ("enc", enc)):
+            if lv in item[-1]:
+                write(item, lv, data)
+        if "dec" in item[-1]:
+            decoding.setdefault(group, []).append((item, enc))
+
+    def encode(group):
+        model = group[0]
+        stacked(model.encode, encoding.pop(group), functools.partial(encoded, group))
+        stack = decoding.get(group, [])
+        while len(stack) >= DECODE_STACK:
+            decode(group, stack[:DECODE_STACK])
+            del stack[:DECODE_STACK]
+
+    def decode(group, stack):
+        stacked(group[0].decode_greedy, stack,
+                lambda item, enc, dec: write(item, "dec", dec[0]))
+
     for signal_id, key, path, channel in _sources(records, manifest_path, cfg)[0]:
-        item = None
+        group = None
         with _trial(result, cfg, "forward", signal_id):
-            src = key and _rep_path(cache, key, "input", cfg.asr)
-            if not (src and src.exists()):
+            if isinstance(key, OSError):
+                raise key
+            src = _rep_path(cache, key, "input", cfg.asr)
+            if not src.exists():
                 raise PipelineError(f"missing input representation of {path} ({channel})")
             todo = [lv for lv in levels if not _rep_path(cache, key, lv, cfg.asr).exists()]
             result.skipped += len(levels) - len(todo)
             if todo:
                 features = reps.read_reps(src)
-                pre = asr.shared_model(cfg.asr, features.dim).prenet(
-                    features.data.astype(np.float64))
-                item = (signal_id, key, features, pre, todo)
-        if item:
-            group = pending.setdefault(pre.shape, [])
-            group.append(item)
-            if (len(group) + 1) * len(pre) > FORWARD_BUDGET:
-                forward(pending.pop(pre.shape))
-    for group in pending.values():
-        forward(group)
+                model = asr.shared_model(cfg.asr, features.dim)
+                pre = model.prenet(features.data.astype(np.float64))
+                group = (model, len(pre))
+        if group:
+            chunk = encoding.setdefault(group, [])
+            chunk.append(((signal_id, key, features.channel, features.signal_id, todo), pre))
+            if (len(chunk) + 1) * len(pre) > FORWARD_BUDGET:
+                encode(group)
+    for group in list(encoding):
+        encode(group)
+    for group, stack in decoding.items():
+        decode(group, stack)
     return result
 
 
@@ -283,8 +322,10 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
     def load(i, channel):
         if i not in held:
             _, key, path, _ = sources[i]  # an unreadable file has one source for both channels
-            p = key and _rep_path(cache, key, cfg.level, cfg.asr)
-            if not (p and p.exists()):
+            if isinstance(key, OSError):
+                raise key
+            p = _rep_path(cache, key, cfg.level, cfg.asr)
+            if not p.exists():
                 raise PipelineError(f"missing {cfg.level} representation of {path} ({channel})")
             held[i] = reps.read_reps(p)
         return held[i]

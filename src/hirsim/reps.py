@@ -30,7 +30,9 @@ class FormatError(Exception):
     """Malformed .hrep file or manifest."""
 
 
-@dataclass(frozen=True)
+# eq=False: equality and hashing by identity, since the generated ones would
+# compare and hash the ndarray field, which raises
+@dataclass(frozen=True, eq=False)
 class RepSequence:
     data: np.ndarray  # T x d, float32
     level: str
@@ -58,7 +60,7 @@ class RepSequence:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinauralRep:
     left: RepSequence
     right: RepSequence

@@ -4,15 +4,18 @@
 
 Writes 16-bit stereo WAVs with the stdlib `wave` module and a manifest of dev
 and eval trials into a temporary directory, then runs featurize, forward and,
-at every level, sim, fit, eval and report. Then a dec-level sim and fit read a
-config file whose settings `--dtw-radius 0 --lenient` and `--fit-split
-train_all` override. Exact and fast DTW agree on these short sequences, and
-the manifest has no train trials, so their outputs must equal the dec level's.
-Last, eval reads a params file whose `a` is a string and fit a scores file
-with a field over the csv module's size limit; both must exit 2, a data
-error, not 3. Exits non-zero unless each command exits as stated, those
-outputs are equal, every JSON output is strict JSON, and no scipy module was
-imported.
+at every level, sim, fit, eval and report. The 24 distinct inputs have 10
+encoder frames each, so forward encodes them in chunks of 10, 10 and 4 and
+decodes them in stacks of 8 that span those chunks; every pre, enc and dec
+.hrep it writes must equal, byte for byte, `asr.toy_forward` on its input
+alone. Then a dec-level sim and fit read a config file whose settings
+`--dtw-radius 0 --lenient` and `--fit-split train_all` override. Exact and
+fast DTW agree on these short sequences, and the manifest has no train
+trials, so their outputs must equal the dec level's. Last, eval reads a
+params file whose `a` is a string and fit a scores file with a field over the
+csv module's size limit; both must exit 2, a data error, not 3. Exits
+non-zero unless each command exits as stated, those outputs are equal, every
+JSON output is strict JSON, and no scipy module was imported.
 """
 
 import csv
@@ -24,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hirsim import cli
+from hirsim import asr, cli, pipeline, reps
 
 SR = 16000
 SNRS = (None, 10.0, 0.0)  # None: the clean reference itself
@@ -69,6 +72,21 @@ def strict_json(path: Path) -> None:
     json.loads(path.read_text(), parse_constant=reject)
 
 
+def forward_differs(cache: Path) -> list[str]:
+    """The model-level .hrep files of `cache`, by the name they should have,
+    that are missing or differ from `asr.toy_forward` on their input alone."""
+    cfg = pipeline.PipelineConfig()
+    alone = cache.parent / "alone.hrep"
+    bad = []
+    for src in sorted(cache.glob("*.input.hrep")):
+        for level, rep in asr.toy_forward(reps.read_reps(src), cfg.asr).items():
+            path = pipeline._rep_path(cache, src.name.split(".")[0], level, cfg.asr)
+            reps.write_reps(rep, alone)
+            if not (path.is_file() and path.read_bytes() == alone.read_bytes()):
+                bad.append(path.name)
+    return bad
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -96,6 +114,13 @@ def main() -> int:
             if rc != cli.EXIT_OK:
                 print(f"hirsim {' '.join(argv)} exited {rc}", file=sys.stderr)
                 return 1
+            if argv == ["forward"]:
+                n_inputs = len(list((root / "cache").glob("*.input.hrep")))
+                bad = forward_differs(root / "cache")
+                if n_inputs != 24 or bad:
+                    print(f"forward of {n_inputs} inputs: {len(bad)} .hrep files differ from "
+                          f"one input at a time: {bad[:3]}", file=sys.stderr)
+                    return 1
         bad_params, bad_scores = root / "params_bad.json", root / "scores_bad.csv"
         bad_params.write_text(json.dumps({"a": "1", "b": 1}))
         header = (root / "scores_dec.csv").read_text().splitlines()[0]

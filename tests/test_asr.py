@@ -300,11 +300,14 @@ def clip(kind, seed, scale, t, bands):
     return np.random.default_rng(seed).normal(size=(t, bands)) * scale
 
 
-def assert_stack_equals_oracle(model, clips):
+def assert_stack_equals_oracle(model, clips, chunk=None):
     """The stacked PreNet, encoder and decoder states of equal-length `clips`
-    equal a run of each clip alone, bit for bit; returns the tokens."""
+    equal a run of each clip alone, bit for bit; returns the tokens. The
+    encoder takes the clips in separate stacks of `chunk` (default: all of
+    them), and the decoder takes all their outputs as one stack."""
     pre = np.stack([model.prenet(x) for x in clips])
-    enc = model.encode(pre)
+    chunk = chunk or len(clips)
+    enc = np.concatenate([model.encode(pre[i:i + chunk]) for i in range(0, len(clips), chunk)])
     dec = model.decode_greedy(enc)
     assert pre.dtype == enc.dtype == np.float64 and len(dec) == len(clips)
     for x, p, e, (d, tokens) in zip(clips, pre, enc, dec):
@@ -319,22 +322,24 @@ def assert_stack_equals_oracle(model, clips):
 
 @st.composite
 def clip_stacks(draw):
-    """A model and 1-12 equal-length clips of varied content."""
+    """A model, 1-12 equal-length clips of varied content, and how many of
+    them one encoder stack takes."""
     cfg, bands = draw(st.sampled_from(ORACLE_MODELS))
     t = draw(st.integers(4, 40))
     clips = [clip(draw(st.sampled_from(["silent", "constant", "noise"])),
                   draw(st.integers(0, 2 ** 32 - 1)), draw(st.sampled_from([0.3, 1.0, 3.0, 10.0])),
                   t, bands)
              for _ in range(draw(st.integers(1, 12)))]
-    return cfg, bands, clips
+    return cfg, bands, clips, draw(st.integers(1, len(clips)))
 
 
 class TestBatchedForward:
     @settings(max_examples=60, deadline=None)
     @given(clip_stacks())
     def test_stack_equals_per_item_oracle(self, drawn):
-        cfg, bands, clips = drawn
-        assert_stack_equals_oracle(asr.ToyAsr(cfg, bands), clips)
+        # decode stacks that span separately encoded chunks, as in run_forward
+        cfg, bands, clips, chunk = drawn
+        assert_stack_equals_oracle(asr.ToyAsr(cfg, bands), clips, chunk)
 
     @pytest.mark.parametrize("which, kinds, lengths", [
         (1, ["silent", "constant", "noise", "silent"], {0, 1}),

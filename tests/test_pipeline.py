@@ -271,20 +271,29 @@ class TestForward:
 
     def test_chunks_hold_equal_lengths_within_the_budget(self, tmp_path, monkeypatch):
         good, _ = mixed_length_manifests(tmp_path / "d")
-        chunks = []
-        hidden = asr.ToyAsr.hidden
+        chunks, stacks = [], []
+        encode, decode_greedy = asr.ToyAsr.encode, asr.ToyAsr.decode_greedy
 
-        def recorded(model, h_pre):
+        def recorded_encode(model, h_pre):
             chunks.append(h_pre.shape[:2])
-            return hidden(model, h_pre)
+            return encode(model, h_pre)
 
-        monkeypatch.setattr(asr.ToyAsr, "hidden", recorded)
+        def recorded_decode(model, enc_out):
+            stacks.append(enc_out.shape[:2])
+            return decode_greedy(model, enc_out)
+
+        monkeypatch.setattr(asr.ToyAsr, "encode", recorded_encode)
+        monkeypatch.setattr(asr.ToyAsr, "decode_greedy", recorded_decode)
         files, result = forward_files(good, tmp_path / "c", PipelineConfig())
         assert (len(files), result.written, result.failures) == (60, 60, [])
         # (inputs, encoder frames): 12 inputs of 12 frames as 8 + 4, the 4 of
         # 13 frames together and each 100-frame input alone
         assert sorted(chunks) == [(1, 100)] * 4 + [(4, 12), (4, 13), (8, 12)]
         assert all(n * t <= pipeline.FORWARD_BUDGET or n == 1 for n, t in chunks)
+        # the decoder takes up to DECODE_STACK outputs of one shape across
+        # chunks: the four 100-frame inputs decode as one stack
+        assert sorted(stacks) == [(4, 12), (4, 13), (4, 100), (8, 12)]
+        assert all(n <= pipeline.DECODE_STACK for n, _ in stacks)
 
     def test_short_clip_fails_alone(self, tmp_path):
         good, full = mixed_length_manifests(tmp_path / "d")
@@ -319,6 +328,85 @@ class TestForward:
         assert result.failures == [("a1", "poisoned input")]
         assert result.written == len(got) == len(want) - 3
         assert got.items() <= want.items()
+
+    def test_failing_decode_stack_reruns_its_inputs_one_by_one(self, tmp_path, monkeypatch):
+        good, _ = mixed_length_manifests(tmp_path / "d")
+        want, _ = forward_files(good, tmp_path / "want", PipelineConfig())
+        # the decoder fails on any stack holding the encoder output of a4's
+        # processed left channel, one of four 100-frame inputs decoded as one
+        # stack across their four chunks
+        cfg = PipelineConfig()
+        wav = feats.read_wav(tmp_path / "d" / "audio" / "a4_proc.wav")
+        bad = feats.logmel(wav.channel("left"), cfg.feat, wav.sample_rate_hz).data
+        model = asr.shared_model(cfg.asr, bad.shape[1])
+        bad = model.encode(model.prenet(bad.astype(np.float64))[None])[0]
+        decode_greedy = asr.ToyAsr.decode_greedy
+
+        def poisoned(model, enc_out):
+            if any(np.array_equal(e, bad) for e in enc_out):
+                raise asr.AsrError("poisoned decode")
+            return decode_greedy(model, enc_out)
+
+        monkeypatch.setattr(asr.ToyAsr, "decode_greedy", poisoned)
+        with pytest.raises(pipeline.PipelineError, match="^forward failed for a4: poisoned decode$"):
+            forward_files(good, tmp_path / "strict", cfg)
+        got, result = forward_files(good, tmp_path / "lenient", PipelineConfig(lenient=True))
+        assert result.failures == [("a4", "poisoned decode")]
+        # only a4's left dec is missing; its pre and enc are written and correct
+        [missing] = want.keys() - got.keys()
+        assert missing.endswith(".dec.hrep")
+        assert result.written == len(got) == len(want) - 1
+        assert got.items() <= want.items()
+        stem = missing.split(".")[0]
+        assert {f"{stem}.pre.hrep", f"{stem}.enc.hrep"} <= got.keys()
+        # a rerun decodes only that input
+        monkeypatch.undo()
+        rerun = pipeline.run_forward(good, tmp_path / "lenient", cfg)
+        assert (rerun.written, rerun.failures) == (1, [])
+        assert (tmp_path / "lenient" / missing).read_bytes() == want[missing]
+
+
+class TestUnreadableSource:
+    """forward and sim report why a source cannot be read, as featurize does."""
+
+    @pytest.fixture
+    def moved(self, tmp_path):
+        """A smoke set featurized and forwarded, then one processed file moved away."""
+        m = build_smoke_dataset(tmp_path / "d", n_signals=4)
+        cache = tmp_path / "cache"
+        pipeline.run_featurize(m, cache, PipelineConfig())
+        pipeline.run_forward(m, cache, PipelineConfig())
+        (m.parent / "audio" / "proc01n1.wav").rename(tmp_path / "proc01n1.wav")
+        [(signal_id, cause)] = pipeline.run_featurize(m, cache, PipelineConfig(lenient=True)).failures
+        assert signal_id == "s01n1"
+        assert cause == "[Errno 2] No such file or directory: 'audio/proc01n1.wav'"
+        return m, cache, cause
+
+    def test_forward_names_the_cause(self, moved):
+        m, cache, cause = moved
+        with pytest.raises(pipeline.PipelineError,
+                           match=f"^forward failed for s01n1: {re.escape(cause)}$"):
+            pipeline.run_forward(m, cache, PipelineConfig())
+        res = pipeline.run_forward(m, cache, PipelineConfig(lenient=True))
+        assert (res.written, res.failures) == (0, [("s01n1", cause)])
+
+    @pytest.mark.parametrize("level", ["input", "enc"])
+    def test_sim_names_the_cause(self, moved, tmp_path, level):
+        m, cache, cause = moved
+        scores = tmp_path / "scores.csv"
+        with pytest.raises(pipeline.PipelineError,
+                           match=f"^sim failed for s01n1: {re.escape(cause)}$"):
+            pipeline.run_sim(m, cache, scores, PipelineConfig(level=level))
+        res = pipeline.run_sim(m, cache, scores, PipelineConfig(level=level, lenient=True))
+        assert (res.written, res.failures) == (23, [("s01n1", cause)])
+
+    def test_sim_names_a_representation_never_computed(self, tmp_path):
+        m = self_manifest(tmp_path / "d")
+        pipeline.run_featurize(m, tmp_path / "c", PipelineConfig())
+        with pytest.raises(pipeline.PipelineError, match=(
+                f"^sim failed for c0: missing enc representation of "
+                f"{re.escape(str(m.parent))}/audio/clean0.wav \\(left\\)$")):
+            pipeline.run_sim(m, tmp_path / "c", tmp_path / "s.csv", PipelineConfig(level="enc"))
 
 
 class TestSimFitEval:
@@ -841,7 +929,7 @@ class TestCli:
         assert cli.main(base + ["--lenient", "sim", "--scores", scores]) == cli.EXIT_DATA
         out, err = capsys.readouterr()
         assert out == f"sim: 2 trials scored -> {scores}\n"
-        assert err.startswith("  FAILED lost: missing enc representation of ")
+        assert err.startswith("  FAILED lost: [Errno 2] No such file or directory: ")
         assert err.count("FAILED") == 1
 
     def test_lenient_sim_carries_on_past_unequal_channel_lengths(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,22 @@ class TestBinaural:
         with pytest.raises(ValueError):
             BinauralRep(left=make_rep(rng, 3, 2, "enc", "left"),
                         right=make_rep(rng, 3, 2, "pre", "right"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: make_rep(rng, 3, 2),
+    lambda rng: BinauralRep(make_rep(rng, 3, 2, channel="left"),
+                            make_rep(rng, 3, 2, channel="right")),
+], ids=["RepSequence", "BinauralRep"])
+def test_representations_compare_and_hash_by_identity(make):
+    # two objects of equal content
+    a, b = make(np.random.default_rng(0)), make(np.random.default_rng(0))
+    assert isinstance(hash(a), int) and hash(a) == hash(a)
+    assert a == a and not a == b and a != b
+    assert {a: 1}[a] == 1
+    live = weakref.WeakSet()
+    live.add(a)
+    assert a in live and b not in live
 
 
 class TestHrepRoundTrip:
