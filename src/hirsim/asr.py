@@ -339,26 +339,21 @@ class ToyAsr:
         return [(h[:max(1, k)], t[:k].tolist())
                 for h, t, k in zip(np.stack(states, axis=1), tokens[:, 1:], n_emitted)]
 
-    def hidden(self, h_pre: np.ndarray) -> list[dict[str, np.ndarray]]:
-        """The 'pre', 'enc' and 'dec' states of each sequence in a stack of
-        PreNet outputs (N, T', pre_dim), each as if it ran alone."""
-        h_enc = self.encode(h_pre)
-        return [{"pre": p, "enc": e, "dec": d}
-                for p, e, (d, _) in zip(h_pre, h_enc, self.decode_greedy(h_enc))]
-
 
 # one shared ToyAsr per (cfg, n_input_bands); forward passes never mutate it
 shared_model = functools.lru_cache(maxsize=8)(ToyAsr)
 
 
 def toy_forward(features: RepSequence, cfg: ToyAsrConfig) -> dict[str, RepSequence]:
-    """Run the toy model on one sequence, as a stack of one; returns {'pre',
-    'enc', 'dec'} RepSequences."""
+    """Run the toy model on one sequence: prenet, encode and decode_greedy on
+    a stack of one; returns {'pre', 'enc', 'dec'} RepSequences."""
     model = shared_model(cfg, features.dim)
-    [hidden] = model.hidden(model.prenet(features.data.astype(np.float64))[None])
+    pre = model.prenet(features.data.astype(np.float64))
+    [enc] = model.encode(pre[None])
+    [(dec, _)] = model.decode_greedy(enc[None])
     return {level: RepSequence(data=data, level=level, channel=features.channel,
                                signal_id=features.signal_id)
-            for level, data in hidden.items()}
+            for level, data in (("pre", pre), ("enc", enc), ("dec", dec))}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -159,11 +158,22 @@ def _sources(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig
     return sources, slots
 
 
-@functools.lru_cache(maxsize=4096)
 def _rep_path(cache: Path, input_key: str, level: str, asr_cfg: asr.ToyAsrConfig) -> Path:
     """<cache>/<key>.<level>.hrep; the model levels key on input key + repr(asr_cfg)."""
     key = input_key if level == "input" else _hash(input_key.encode(), repr(asr_cfg).encode())
     return cache / f"{key}.{level}.hrep"
+
+
+def _cached(cache: Path, source: tuple, level: str, cfg: PipelineConfig) -> Path:
+    """`source`'s .hrep file of `level`, for an entry of `_sources`; raises the
+    OSError of an unreadable source file, or PipelineError if never computed."""
+    _, key, path, channel = source
+    if isinstance(key, OSError):
+        raise key
+    rep = _rep_path(cache, key, level, cfg.asr)
+    if not rep.exists():
+        raise PipelineError(f"missing {level} representation of {path} ({channel})")
+    return rep
 
 
 def run_featurize(manifest_path, cache_dir, cfg: PipelineConfig) -> StageResult:
@@ -216,11 +226,11 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
 
     Inputs whose PreNet outputs have the same shape go through the encoder
     as one stack, in chunks of at most FORWARD_BUDGET encoder frames (or one
-    input), and their pre and enc levels are written as each chunk ends. The
-    encoder outputs still to be decoded are kept, grouped by shape across
-    chunks, and go through the greedy decoder DECODE_STACK at a time. A stack
-    that fails runs each of its inputs alone, so the failure names its trial.
-    The outputs equal those of one input at a time.
+    input). Flushing a chunk writes its pre and enc levels and decodes the
+    encoder outputs of its shape, gathered across chunks, DECODE_STACK at a
+    time; the end flushes every group down to its last, smaller stack. A
+    chunk or stack that fails runs each of its inputs alone, so the failure
+    names its trial. The outputs equal those of one input at a time.
     """
     records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent)
     cache = Path(cache_dir)
@@ -230,7 +240,7 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
         if lv not in MODEL_LEVELS:
             raise PipelineError(f"forward cannot produce level {lv!r}")
     # (model, PreNet frames) -> [(input, array)], an input being (signal_id,
-    # input key, channel and signal_id of its input .hrep, levels to write)
+    # input key, channel, levels to write)
     encoding: dict[tuple, list] = {}  # of PreNet outputs, in one forward chunk
     decoding: dict[tuple, list] = {}  # of encoder outputs awaiting a decode stack
 
@@ -247,38 +257,34 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
                 then(item, x, out[i] if out is not None else step(x[None])[0])
 
     def write(item, lv, data):
-        _, key, channel, rep_id, _ = item
-        reps.write_reps(reps.RepSequence(data, lv, channel, rep_id),
-                        _rep_path(cache, key, lv, cfg.asr))
-        result.written += 1
+        _, key, channel, todo = item
+        if lv in todo:
+            reps.write_reps(reps.RepSequence(data, lv, channel, signal_id=""),
+                            _rep_path(cache, key, lv, cfg.asr))
+            result.written += 1
 
-    def encoded(group, item, pre, enc):
-        for lv, data in (("pre", pre), ("enc", enc)):
-            if lv in item[-1]:
-                write(item, lv, data)
-        if "dec" in item[-1]:
-            decoding.setdefault(group, []).append((item, enc))
+    def flush(group, least):
+        """Encode `group`'s chunk, then decode stacks of DECODE_STACK of its
+        encoder outputs while at least `least` wait."""
+        model, stack = group[0], decoding.setdefault(group, [])
 
-    def encode(group):
-        model = group[0]
-        stacked(model.encode, encoding.pop(group), functools.partial(encoded, group))
-        stack = decoding.get(group, [])
-        while len(stack) >= DECODE_STACK:
-            decode(group, stack[:DECODE_STACK])
+        def encoded(item, pre, enc):
+            write(item, "pre", pre)
+            write(item, "enc", enc)
+            if "dec" in item[-1]:
+                stack.append((item, enc))
+
+        stacked(model.encode, encoding.pop(group, []), encoded)
+        while len(stack) >= least:
+            stacked(model.decode_greedy, stack[:DECODE_STACK],
+                    lambda item, enc, dec: write(item, "dec", dec[0]))
             del stack[:DECODE_STACK]
 
-    def decode(group, stack):
-        stacked(group[0].decode_greedy, stack,
-                lambda item, enc, dec: write(item, "dec", dec[0]))
-
-    for signal_id, key, path, channel in _sources(records, manifest_path, cfg)[0]:
+    for source in _sources(records, manifest_path, cfg)[0]:
+        signal_id, key, _, channel = source
         group = None
         with _trial(result, cfg, "forward", signal_id):
-            if isinstance(key, OSError):
-                raise key
-            src = _rep_path(cache, key, "input", cfg.asr)
-            if not src.exists():
-                raise PipelineError(f"missing input representation of {path} ({channel})")
+            src = _cached(cache, source, "input", cfg)
             todo = [lv for lv in levels if not _rep_path(cache, key, lv, cfg.asr).exists()]
             result.skipped += len(levels) - len(todo)
             if todo:
@@ -288,13 +294,11 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
                 group = (model, len(pre))
         if group:
             chunk = encoding.setdefault(group, [])
-            chunk.append(((signal_id, key, features.channel, features.signal_id, todo), pre))
+            chunk.append(((signal_id, key, channel, todo), pre))
             if (len(chunk) + 1) * len(pre) > FORWARD_BUDGET:
-                encode(group)
-    for group in list(encoding):
-        encode(group)
-    for group, stack in decoding.items():
-        decode(group, stack)
+                flush(group, DECODE_STACK)
+    for group in {**encoding, **decoding}:
+        flush(group, 1)
     return result
 
 
@@ -319,19 +323,13 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
     held: dict[int, reps.RepSequence] = {}
     scored: dict[tuple, sim.SimilarityScore] = {}
 
-    def load(i, channel):
+    def load(i):
         if i not in held:
-            _, key, path, _ = sources[i]  # an unreadable file has one source for both channels
-            if isinstance(key, OSError):
-                raise key
-            p = _rep_path(cache, key, cfg.level, cfg.asr)
-            if not p.exists():
-                raise PipelineError(f"missing {cfg.level} representation of {path} ({channel})")
-            held[i] = reps.read_reps(p)
+            held[i] = reps.read_reps(_cached(cache, sources[i], cfg.level, cfg))
         return held[i]
 
     def score(slot):
-        chans = [load(i, channel) for i, channel in zip(slot, reps.CHANNELS * 2)]
+        chans = [load(i) for i in slot]
         return sim.binaural_similarity(reps.BinauralRep(*chans[:2]),
                                        reps.BinauralRep(*chans[2:]), cfg.dtw_radius)
 
@@ -376,6 +374,9 @@ def read_scores(scores_path) -> list[dict]:
             row["zero_norm_frames"] = int(row["zero_norm_frames"])
         except (TypeError, ValueError) as e:
             raise reps.FormatError(f"{scores_path}: score row {i}: {e}") from e
+        if not math.isfinite(row["raw_score"]):
+            raise reps.FormatError(
+                f"{scores_path}: score row {i}: raw_score {row['raw_score']} is not finite")
     return rows
 
 

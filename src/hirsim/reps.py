@@ -176,10 +176,20 @@ def require_keys(obj, keys, where: str) -> dict:
     return obj
 
 
+def _text(value, path, i: int, key: str) -> str:
+    """A text field of manifest entry `i` that is not a JSON string: a number,
+    as its string; anything else is a FormatError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"{path}: entry {i}: {key} {value!r} is not a string or number")
+    return str(value)
+
+
 def load_manifest(path, wcs_percent: bool = False) -> list[TrialRecord]:
     """Load and validate a JSON trial manifest.
 
     With wcs_percent, correctness values on a 0-100 scale are divided by 100.
+    The other fields are text: a JSON number is taken as its string, and null,
+    a boolean, an array or an object is a FormatError.
     Source files are not looked at here: the stage that reads one reports it
     if it is missing or unreadable.
     """
@@ -201,7 +211,9 @@ def load_manifest(path, wcs_percent: bool = False) -> list[TrialRecord]:
         if wcs_percent:
             wcs /= 100.0
         try:
-            rec = TrialRecord(*[wcs if k == "correctness" else str(entry[k]) for k in names])
+            rec = TrialRecord(*[wcs if k == "correctness" else
+                                v if type(v := entry[k]) is str else _text(v, path, i, k)
+                                for k in names])
         except ValueError as e:
             raise FormatError(f"{path}: entry {i}: {e}") from e
         key = (rec.signal_id, rec.listener_id)

@@ -1,6 +1,7 @@
 """Every CLI stage on a few small stereo WAVs, with numpy as the only dependency.
 
-    python tests/cli_smoke.py
+    PYTHONPATH=src python tests/cli_smoke.py    # from a checkout
+    python tests/cli_smoke.py                   # with hirsim installed
 
 Writes 16-bit stereo WAVs with the stdlib `wave` module and a manifest of dev
 and eval trials into a temporary directory, then runs featurize, forward and,
@@ -8,17 +9,21 @@ at every level, sim, fit, eval and report. The 24 distinct inputs have 10
 encoder frames each, so forward encodes them in chunks of 10, 10 and 4 and
 decodes them in stacks of 8 that span those chunks; every pre, enc and dec
 .hrep it writes must equal, byte for byte, `asr.toy_forward` on its input
-alone. Then a dec-level sim and fit read a config file whose settings
-`--dtw-radius 0 --lenient` and `--fit-split train_all` override. Exact and
-fast DTW agree on these short sequences, and the manifest has no train
-trials, so their outputs must equal the dec level's. Last, eval reads a
-params file whose `a` is a string and fit a scores file with a field over the
-csv module's size limit; both must exit 2, a data error, not 3. Exits
-non-zero unless each command exits as stated, those outputs are equal, every
-JSON output is strict JSON, and no scipy module was imported.
+alone, and a second forward on the filled cache must write nothing and
+report all 72 files up to date. Then a dec-level sim and fit read a config
+file whose settings `--dtw-radius 0 --lenient` and `--fit-split train_all`
+override. Exact and fast DTW agree on these short sequences, and the
+manifest has no train trials, so their outputs must equal the dec level's.
+Last, eval reads a params file whose `a` is a string and fit a scores file
+with a field over the csv module's size limit; both must exit 2, a data
+error, not 3. Exits non-zero unless each command exits as stated, those
+outputs are equal, every JSON output is strict JSON, and no scipy module was
+imported.
 """
 
+import contextlib
 import csv
+import io
 import json
 import sys
 import tempfile
@@ -120,6 +125,15 @@ def main() -> int:
                 if n_inputs != 24 or bad:
                     print(f"forward of {n_inputs} inputs: {len(bad)} .hrep files differ from "
                           f"one input at a time: {bad[:3]}", file=sys.stderr)
+                    return 1
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    rc = cli.main(base + argv)
+                sys.stdout.write(out.getvalue())
+                if (rc, out.getvalue()) != (cli.EXIT_OK,
+                                            "forward: 0 written, 72 up to date, 0 failed\n"):
+                    print(f"forward on a filled cache exited {rc} and printed "
+                          f"{out.getvalue()!r}", file=sys.stderr)
                     return 1
         bad_params, bad_scores = root / "params_bad.json", root / "scores_bad.csv"
         bad_params.write_text(json.dumps({"a": "1", "b": 1}))

@@ -238,6 +238,20 @@ class TestForward:
         assert not list(cache.glob("*.pre.hrep"))
         assert not list(cache.glob("*.dec.hrep"))
 
+    def test_warm_forward_reads_no_representation(self, dataset, tmp_path, monkeypatch):
+        # the levels are checked before an input is read, so a filled cache reads nothing
+        root, manifest = dataset
+        cfg = PipelineConfig()
+        cache = tmp_path / "cache"
+        pipeline.run_featurize(manifest, cache, cfg)
+        pipeline.run_forward(manifest, cache, cfg)
+        n_inputs = len(list(cache.glob("*.input.hrep")))
+        read, read_reps = [], reps.read_reps
+        monkeypatch.setattr(reps, "read_reps", lambda p: read.append(p) or read_reps(p))
+        res = pipeline.run_forward(manifest, cache, cfg)
+        assert (res.written, res.skipped, res.failures) == (0, 3 * n_inputs, [])
+        assert read == []
+
     def test_dec_lengths_may_differ(self, dataset, tmp_path):
         root, manifest = dataset
         cfg = PipelineConfig()
@@ -753,6 +767,22 @@ class TestSimFitEval:
                          "--params", str(tmp_path / "p.json")]) == cli.EXIT_DATA
         assert capsys.readouterr().err == (
             f"data error: {big}: field larger than field limit ({csv.field_size_limit()})\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("stage", ["fit", "eval"])
+    def test_non_finite_raw_score_is_data_error(self, eval_run, tmp_path, stage, value):
+        manifest, scores, params, cfg = eval_run
+        header, first, *rows = Path(scores).read_text().splitlines(keepends=True)
+        fields = first.split(",")
+        fields[4] = value
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + ",".join(fields) + "".join(rows))
+        cause = f"{bad}: score row 0: raw_score {value} is not finite"
+        with pytest.raises(reps.FormatError, match=f"^{re.escape(cause)}$"):
+            if stage == "fit":
+                pipeline.run_fit(bad, manifest, tmp_path / "p.json", cfg)
+            else:
+                pipeline.run_eval(bad, manifest, params, tmp_path / "out", cfg)
 
     def test_eval_without_labels_raises(self, eval_run, tmp_path):
         manifest, scores, params, cfg = eval_run

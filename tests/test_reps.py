@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import weakref
 from pathlib import Path
 
@@ -199,6 +200,17 @@ class TestManifest:
         p = _write_manifest(tmp_path, [_entry(0, note="x", signal_id=7, listener_id=3)])
         assert load_manifest(p) == [TrialRecord("7", "3", "sysA", 0.5, "r.wav", "r.wav",
                                                 "p.wav", "p.wav", "train")]
+
+    @pytest.mark.parametrize("bad", [None, True, ["a.wav"], {"v": "a"}],
+                             ids=["null", "bool", "array", "object"])
+    @pytest.mark.parametrize("key", ["signal_id", "listener_id", "system_id", "ref_left",
+                                     "ref_right", "proc_left", "proc_right", "split"])
+    def test_text_field_that_is_not_a_string_or_number_names_entry(self, tmp_path, key, bad):
+        # stringified, null would become a system or listener named "None"
+        p = _write_manifest(tmp_path, [_entry(0), _entry(1, **{key: bad})])
+        with pytest.raises(FormatError, match=(
+                f"^{re.escape(str(p))}: entry 1: {key} .* is not a string or number$")):
+            load_manifest(p)
 
     def test_nan_correctness_allowed(self, tmp_path):
         p = _write_manifest(tmp_path, [_entry(0, split="eval", correctness=float("nan"))])
