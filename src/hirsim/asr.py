@@ -201,11 +201,14 @@ def _check_finite(X, where: str):
         raise AsrError(f"non-finite values in {where}")
 
 
+@functools.lru_cache(maxsize=32)
 def positional_encoding(n: int, d_model: int) -> np.ndarray:
+    """Sinusoidal position encodings, (n, d_model); shared, read-only."""
     pos = np.arange(n)[:, None].astype(np.float64)
     dim = np.arange(d_model)[None, :].astype(np.float64)
     angle = pos / np.power(10000.0, 2.0 * np.floor(dim / 2.0) / d_model)
     pe = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
+    pe.setflags(write=False)
     return pe
 
 

@@ -218,6 +218,14 @@ def mel_filterbank(cfg: FeatConfig, sr: int) -> np.ndarray:
     return fb
 
 
+@functools.lru_cache(maxsize=16)
+def _hann(win: int) -> np.ndarray:
+    """np.hanning(win); shared, read-only."""
+    w = np.hanning(win)
+    w.setflags(write=False)
+    return w
+
+
 def band_centers_hz(cfg: FeatConfig, sr: int) -> np.ndarray:
     return _band_edges_hz(cfg, sr)[1:-1]
 
@@ -235,7 +243,7 @@ def logmel(signal_channel: np.ndarray, cfg: FeatConfig, sr: int,
     hop = cfg.hop_samples(sr)
     n_frames = frame_count(len(x), cfg, sr)
     n_fft = cfg.effective_fft_size(sr)
-    frames = sliding_window_view(x, win)[::hop][:n_frames] * np.hanning(win)
+    frames = sliding_window_view(x, win)[::hop][:n_frames] * _hann(win)
     spec = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
     feats = np.log(np.maximum(spec @ mel_filterbank(cfg, sr).T, cfg.log_floor))
     return RepSequence(data=feats, level="input", channel=channel, signal_id=signal_id)

@@ -124,14 +124,16 @@ def _trial(result: StageResult, cfg: PipelineConfig, stage: str, signal_id: str)
 def _sources(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig):
     """The distinct inputs of `records`, and each trial's place among them.
 
-    `sources` lists (first trial's signal_id, input key, path, channel) once
-    per distinct input key, and once per unreadable source file, whose key is
-    the OSError that reading it raised. The key is sha256(sha256(file bytes)
-    || repr(cfg.feat) || channel); each (name, channel) is resolved and keyed
-    once, and each resolved file hashed once. `slots[i]` holds trial i's
-    ref-left, ref-right, proc-left and proc-right sources as indices into
-    `sources`."""
-    feat = repr(cfg.feat).encode()
+    `sources` lists (first trial's signal_id, keys, path, channel) once per
+    distinct input key, and once per unreadable source file, whose keys are
+    the OSError that reading it raised. The keys are the input key,
+    sha256(sha256(file bytes) || repr(cfg.feat) || channel), and the model
+    levels' key, sha256(input key || repr(cfg.asr)). Each manifest name is
+    resolved once, each (name, channel) keyed once, and each resolved file
+    hashed once. `slots[i]` holds trial i's ref-left, ref-right, proc-left and
+    proc-right sources as indices into `sources`."""
+    feat, model = repr(cfg.feat).encode(), repr(cfg.asr).encode()
+    paths: dict[str, Path] = {}  # name in the manifest -> resolved path
     digests: dict[Path, bytes | OSError] = {}
     named: dict[tuple, int] = {}  # (name in the manifest, channel) -> index
     index: dict = {}  # input key, or the error of an unreadable file -> index
@@ -141,7 +143,9 @@ def _sources(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig
         for ref, channel in zip((rec.ref_left, rec.ref_right, rec.proc_left, rec.proc_right),
                                 reps.CHANNELS * 2):
             if (ref, channel) not in named:
-                path = reps.resolve_path(manifest_path, ref)
+                if ref not in paths:
+                    paths[ref] = reps.resolve_path(manifest_path, ref)
+                path = paths[ref]
                 if path not in digests:
                     try:
                         digests[path] = hashlib.sha256(path.read_bytes()).digest()
@@ -151,26 +155,26 @@ def _sources(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig
                 key = d if isinstance(d, OSError) else _hash(d, feat, channel.encode())
                 if key not in index:
                     index[key] = len(sources)
-                    sources.append((rec.signal_id, key, path, channel))
+                    keys = key if isinstance(key, OSError) else (key, _hash(key.encode(), model))
+                    sources.append((rec.signal_id, keys, path, channel))
                 named[ref, channel] = index[key]
             slot.append(named[ref, channel])
         slots.append(tuple(slot))
     return sources, slots
 
 
-def _rep_path(cache: Path, input_key: str, level: str, asr_cfg: asr.ToyAsrConfig) -> Path:
-    """<cache>/<key>.<level>.hrep; the model levels key on input key + repr(asr_cfg)."""
-    key = input_key if level == "input" else _hash(input_key.encode(), repr(asr_cfg).encode())
-    return cache / f"{key}.{level}.hrep"
+def _rep_path(cache: Path, keys: tuple[str, str], level: str) -> Path:
+    """<cache>/<key>.<level>.hrep, for a source's (input key, model key)."""
+    return cache / f"{keys[0] if level == 'input' else keys[1]}.{level}.hrep"
 
 
-def _cached(cache: Path, source: tuple, level: str, cfg: PipelineConfig) -> Path:
+def _cached(cache: Path, source: tuple, level: str) -> Path:
     """`source`'s .hrep file of `level`, for an entry of `_sources`; raises the
     OSError of an unreadable source file, or PipelineError if never computed."""
-    _, key, path, channel = source
-    if isinstance(key, OSError):
-        raise key
-    rep = _rep_path(cache, key, level, cfg.asr)
+    _, keys, path, channel = source
+    if isinstance(keys, OSError):
+        raise keys
+    rep = _rep_path(cache, keys, level)
     if not rep.exists():
         raise PipelineError(f"missing {level} representation of {path} ({channel})")
     return rep
@@ -183,26 +187,25 @@ def run_featurize(manifest_path, cache_dir, cfg: PipelineConfig) -> StageResult:
     cache.mkdir(parents=True, exist_ok=True)
     result = StageResult()
     by_path: dict[Path, list] = {}
-    for signal_id, key, path, channel in _sources(records, manifest_path, cfg)[0]:
-        by_path.setdefault(path, []).append((signal_id, key, channel))
+    for signal_id, keys, path, channel in _sources(records, manifest_path, cfg)[0]:
+        by_path.setdefault(path, []).append((signal_id, keys, channel))
 
     for path, uses in by_path.items():
         signal_id = uses[0][0]
-        # an unreadable source's key is its error; reading it below raises the cause
-        todo = [(key, channel) for _, key, channel in uses
-                if not (isinstance(key, str)
-                        and _rep_path(cache, key, "input", cfg.asr).exists())]
+        # an unreadable source's keys are its error; reading it below raises the cause
+        todo = [(keys, channel) for _, keys, channel in uses
+                if isinstance(keys, OSError) or not _rep_path(cache, keys, "input").exists()]
         result.skipped += len(uses) - len(todo)
         if not todo:
             continue
         with _trial(result, cfg, "featurize", signal_id):
             # one read per file: a stereo WAV supplies both channels
             source = reps.read_reps(path) if path.suffix == ".hrep" else feats.read_wav(path)
-            for key, channel in todo:
+            for keys, channel in todo:
                 data = (source.data if isinstance(source, reps.RepSequence) else
                         feats.logmel(source.channel(channel), cfg.feat, source.sample_rate_hz).data)
                 reps.write_reps(reps.RepSequence(data, "input", channel, signal_id=""),
-                                _rep_path(cache, key, "input", cfg.asr))
+                                _rep_path(cache, keys, "input"))
                 result.written += 1
     return result
 
@@ -240,7 +243,7 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
         if lv not in MODEL_LEVELS:
             raise PipelineError(f"forward cannot produce level {lv!r}")
     # (model, PreNet frames) -> [(input, array)], an input being (signal_id,
-    # input key, channel, levels to write)
+    # keys, channel, levels to write)
     encoding: dict[tuple, list] = {}  # of PreNet outputs, in one forward chunk
     decoding: dict[tuple, list] = {}  # of encoder outputs awaiting a decode stack
 
@@ -257,10 +260,10 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
                 then(item, x, out[i] if out is not None else step(x[None])[0])
 
     def write(item, lv, data):
-        _, key, channel, todo = item
+        _, keys, channel, todo = item
         if lv in todo:
             reps.write_reps(reps.RepSequence(data, lv, channel, signal_id=""),
-                            _rep_path(cache, key, lv, cfg.asr))
+                            _rep_path(cache, keys, lv))
             result.written += 1
 
     def flush(group, least):
@@ -281,11 +284,11 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
             del stack[:DECODE_STACK]
 
     for source in _sources(records, manifest_path, cfg)[0]:
-        signal_id, key, _, channel = source
+        signal_id, keys, _, channel = source
         group = None
         with _trial(result, cfg, "forward", signal_id):
-            src = _cached(cache, source, "input", cfg)
-            todo = [lv for lv in levels if not _rep_path(cache, key, lv, cfg.asr).exists()]
+            src = _cached(cache, source, "input")
+            todo = [lv for lv in levels if not _rep_path(cache, keys, lv).exists()]
             result.skipped += len(levels) - len(todo)
             if todo:
                 features = reps.read_reps(src)
@@ -294,7 +297,7 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
                 group = (model, len(pre))
         if group:
             chunk = encoding.setdefault(group, [])
-            chunk.append(((signal_id, key, channel, todo), pre))
+            chunk.append(((signal_id, keys, channel, todo), pre))
             if (len(chunk) + 1) * len(pre) > FORWARD_BUDGET:
                 flush(group, DECODE_STACK)
     for group in {**encoding, **decoding}:
@@ -325,7 +328,7 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
 
     def load(i):
         if i not in held:
-            held[i] = reps.read_reps(_cached(cache, sources[i], cfg.level, cfg))
+            held[i] = reps.read_reps(_cached(cache, sources[i], cfg.level))
         return held[i]
 
     def score(slot):

@@ -97,41 +97,53 @@ def write_reps(rep: RepSequence, path) -> None:
         "<BBBBIIH", VERSION, _LEVEL_CODE[rep.level], _CHANNEL_CODE[rep.channel],
         0, t, d, len(sid),
     )
-    payload = np.ascontiguousarray(rep.data, dtype="<f4").tobytes()
+    payload = np.ascontiguousarray(rep.data, dtype="<f4")
     # renamed into place, so a crash or concurrent writer never leaves a torn `path`
     tmp = Path(f"{path}.{os.urandom(8).hex()}.tmp")
     try:
-        tmp.write_bytes(header + sid + payload)
+        with tmp.open("wb") as f:
+            f.write(header)
+            f.write(sid)
+            f.write(payload)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_reps(path) -> RepSequence:
-    raw = Path(path).read_bytes()
-    if len(raw) < 18:
-        raise FormatError(f"{path}: truncated header")
-    if raw[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic")
-    version, level_c, channel_c, _reserved, t, d, sid_len = struct.unpack("<BBBBIIH", raw[4:18])
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if level_c >= len(LEVELS) or channel_c >= len(CHANNELS):
-        raise FormatError(f"{path}: invalid level/channel code")
-    off = 18
-    if len(raw) < off + sid_len:
-        raise FormatError(f"{path}: truncated signal_id")
-    sid = raw[off:off + sid_len].decode("utf-8")
-    off += sid_len
-    expected = t * d * 4
-    if len(raw) - off != expected:
-        raise FormatError(
-            f"{path}: payload has {len(raw) - off} bytes, header declares {expected}"
-        )
-    data = np.frombuffer(raw[off:], dtype="<f4").reshape(t, d)
-    if not np.all(np.isfinite(data)):
-        raise FormatError(f"{path}: non-finite values in payload")
-    return RepSequence(data=data, level=LEVELS[level_c], channel=CHANNELS[channel_c], signal_id=sid)
+    """The representation in .hrep file `path`. The payload size the header
+    declares is checked against the file's before anything is allocated, and
+    the payload is read straight into the returned array."""
+    with open(path, "rb") as f:
+        head = f.read(18)
+        if len(head) < 18:
+            raise FormatError(f"{path}: truncated header")
+        if head[:4] != MAGIC:
+            raise FormatError(f"{path}: bad magic")
+        version, level_c, channel_c, _reserved, t, d, sid_len = struct.unpack("<BBBBIIH", head[4:])
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if level_c >= len(LEVELS) or channel_c >= len(CHANNELS):
+            raise FormatError(f"{path}: invalid level/channel code")
+        sid = f.read(sid_len)
+        if len(sid) < sid_len:
+            raise FormatError(f"{path}: truncated signal_id")
+        sid = sid.decode("utf-8")
+        expected = t * d * 4
+        size = os.fstat(f.fileno()).st_size - 18 - sid_len
+        if size == expected:
+            data = np.empty((t, d), dtype="<f4")
+            size = f.readinto(data)  # short if the file shrank since fstat
+        if size != expected:
+            raise FormatError(f"{path}: payload has {size} bytes, header declares {expected}")
+    try:
+        return RepSequence(data=data, level=LEVELS[level_c], channel=CHANNELS[channel_c],
+                           signal_id=sid)
+    except ValueError:
+        if not np.isfinite(data).all():
+            raise FormatError(f"{path}: non-finite values in payload") from None
+        raise
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Binaural similarity scores over hidden-representation sequences.
 
 Matched-length levels (input/pre/enc) use framewise cosine similarity with a
-per-frame max over the four left/right channel pairings. Decoder-level
-sequences have variable lengths, so each pairing is aligned with fast DTW
-before averaging cosines along the warp path; the exact O(T1*T2) dynamic
+per-frame max over the four left/right channel pairings, taken over blocks of
+frames. Decoder-level sequences have variable lengths, so each pairing is
+aligned with fast DTW before averaging cosines along the warp path, read from
+the cosine matrix the alignment already computed; the exact O(T1*T2) dynamic
 program is kept as the oracle the fast path is tested against.
 """
 
@@ -18,6 +19,13 @@ from .reps import BinauralRep, RepSequence
 ZERO_NORM_EPS = 1e-12
 DEFAULT_RADIUS = 10
 MIN_COARSEN_SIZE = 16
+# float64 values of one channel in one framewise block (32 KiB). The
+# whole-sequence temporaries of a 100 x 640 `pre` trial are megabytes, which
+# the allocator maps and unmaps for each trial; blocks this size reuse heap
+# memory. A fresh-process warm `unique_long` pass took 36.3k minor page faults
+# with one block per trial and 12.9k with these, about 5k of either being
+# start-up and import.
+BLOCK_VALUES = 4096
 
 
 class SimilarityError(Exception):
@@ -61,16 +69,16 @@ def cosine(h: np.ndarray, h_hat: np.ndarray) -> float:
     return float(_cosine_rows(h, h_hat)[0])
 
 
-def _cosine_rows(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, int]:
-    """Cosines over the last axis of two broadcastable stacks, and how many
-    were taken as 0 because one of the two vectors has zero norm. The one
+def _cosine_rows(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines over the last axis of two broadcastable stacks, and the mask of
+    those taken as 0 because one of the two vectors has zero norm. The one
     place a cosine is computed."""
     na = np.linalg.norm(A, axis=-1)
     nb = np.linalg.norm(B, axis=-1)
     zero = (na < ZERO_NORM_EPS) | (nb < ZERO_NORM_EPS)
     denom = np.where(zero, 1.0, na * nb)
     vals = np.where(zero, 0.0, np.einsum("...d,...d->...", A, B) / denom)
-    return vals, int(zero.sum())
+    return vals, zero
 
 
 def _reconcile_lengths(t_ref: int, t_proc: int) -> int:
@@ -83,7 +91,13 @@ def _reconcile_lengths(t_ref: int, t_proc: int) -> int:
 
 
 def framewise_binaural_sim(ref: BinauralRep, proc: BinauralRep) -> SimilarityScore:
-    """Mean over frames of max cosine over the four channel pairings."""
+    """Mean over frames of max cosine over the four channel pairings.
+
+    The cosines are taken over blocks of BLOCK_VALUES // d frames; each
+    frame's cosine depends on that frame alone, so the result equals one pass
+    over all frames. A block holds at least two frames unless T is 1: numpy
+    drops a length-1 axis, and then sums a row of more than 8192 values in
+    another order."""
     if ref.level == "dec" or proc.level == "dec":
         raise SimilarityError("decoder-level sequences require binaural_warped_sim")
     if ref.level != proc.level:
@@ -91,10 +105,18 @@ def framewise_binaural_sim(ref: BinauralRep, proc: BinauralRep) -> SimilaritySco
     if ref.left.dim != proc.left.dim:
         raise SimilarityError("representation dimensions differ")
     T = _reconcile_lengths(ref.left.n_frames, proc.left.n_frames)
-    A, B = (np.stack([r.left.data[:T], r.right.data[:T]]).astype(np.float64) for r in (ref, proc))
-    vals, zero = _cosine_rows(A[:, None], B[None])  # (ref channel, proc channel, frame)
-    return SimilarityScore(value=float(vals.max(axis=(0, 1)).mean()), level=ref.level,
-                           zero_norm_frames=zero)
+    step = max(2, BLOCK_VALUES // ref.left.dim)
+    best = np.empty(T)  # per frame, the max over the pairings
+    zero = s = 0
+    while s < T:
+        e = T if T - s <= step + 1 else s + step
+        A, B = (np.stack([r.left.data[s:e], r.right.data[s:e]]).astype(np.float64)
+                for r in (ref, proc))
+        vals, z = _cosine_rows(A[:, None], B[None])  # (ref channel, proc channel, frame)
+        vals.max(axis=(0, 1), out=best[s:e])
+        zero += int(z.sum())
+        s = e
+    return SimilarityScore(value=float(best.mean()), level=ref.level, zero_norm_frames=zero)
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +136,14 @@ def path_cost(A: np.ndarray, B: np.ndarray, path: WarpPath) -> float:
 _STEPS = ((1, 1), (1, 0), (0, 1))
 
 
-def _dtw_window(A: np.ndarray, B: np.ndarray, allowed: np.ndarray | None) -> WarpPath:
+def _dtw_window(A: np.ndarray, B: np.ndarray, allowed: np.ndarray | None) -> tuple:
     """DP over the cells a boolean (T1, T2) mask allows (None = full matrix);
-    each cell comes from its cheapest predecessor, the first in _STEPS on a tie."""
+    each cell comes from its cheapest predecessor, the first in _STEPS on a tie.
+    Returns the path, the (T1, T2) cosine matrix V whose cost is 1 - V, and
+    V's zero-norm mask."""
     t1, t2 = A.shape[0], B.shape[0]
-    C = _cost_matrix(A, B)
+    V, zero = _cosine_rows(A[:, None], B[None])
+    C = 1.0 - V
     D = np.full((t1, t2), np.inf)
     came_from = {}
     for i in range(t1):
@@ -135,13 +160,13 @@ def _dtw_window(A: np.ndarray, B: np.ndarray, allowed: np.ndarray | None) -> War
     pairs = [(t1 - 1, t2 - 1)]
     while pairs[-1] != (0, 0):
         pairs.append(came_from[pairs[-1]])
-    return WarpPath(pairs=tuple(reversed(pairs)))
+    return WarpPath(pairs=tuple(reversed(pairs))), V, zero
 
 
 def dtw_path_exact(H: RepSequence | np.ndarray, H_hat: RepSequence | np.ndarray) -> WarpPath:
     """Full O(T1*T2) dynamic program; the oracle for dtw_path_fast."""
     A, B = _as_matrices(H, H_hat)
-    return _dtw_window(A, B, None)
+    return _dtw_window(A, B, None)[0]
 
 
 def _as_matrices(H, H_hat) -> tuple[np.ndarray, np.ndarray]:
@@ -174,45 +199,49 @@ def dtw_path_fast(H, H_hat, radius: int = DEFAULT_RADIUS) -> WarpPath:
     """Multilevel fast DTW: coarsen by adjacent-frame averaging, solve
     recursively, then refine inside a corridor of the given radius."""
     A, B = _as_matrices(H, H_hat)
+    return _fast_dtw(A, B, radius)[0]
+
+
+def _fast_dtw(A: np.ndarray, B: np.ndarray, radius: int) -> tuple:
+    """_dtw_window's (path, V, zero mask) at the finest level of fast DTW."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    return _fast_dtw(A, B, radius)
-
-
-def _fast_dtw(A: np.ndarray, B: np.ndarray, radius: int) -> WarpPath:
     t1, t2 = A.shape[0], B.shape[0]
     if min(t1, t2) <= MIN_COARSEN_SIZE or radius >= max(t1, t2):
         return _dtw_window(A, B, None)
-    coarse = _fast_dtw(_coarsen(A), _coarsen(B), radius)
+    coarse = _fast_dtw(_coarsen(A), _coarsen(B), radius)[0]
     window = _expand_window(coarse, t1, t2, radius)
     return _dtw_window(A, B, window)
 
 
 def warped_sim(H, H_hat, path: WarpPath) -> tuple[float, int]:
-    """Mean cosine over the aligned pairs; returns (value, zero_norm_frames)."""
+    """Mean cosine over the aligned pairs; returns (value, zero_norm_frames).
+    The oracle for the path cosines binaural_warped_sim reads from DTW."""
     A, B = _as_matrices(H, H_hat)
     last_i, last_j = path.pairs[-1]
     if last_i != A.shape[0] - 1 or last_j != B.shape[0] - 1:
         raise SimilarityError("warp path does not span the two sequences")
-    idx_i = np.array([i for i, _ in path.pairs])
-    idx_j = np.array([j for _, j in path.pairs])
+    idx_i, idx_j = np.array(path.pairs).T
     vals, zero = _cosine_rows(A[idx_i], B[idx_j])
-    return float(vals.mean()), zero
+    return float(vals.mean()), int(zero.sum())
 
 
 def binaural_warped_sim(ref: BinauralRep, proc: BinauralRep,
                         radius: int = DEFAULT_RADIUS) -> SimilarityScore:
     """Max over the four channel pairings of DTW-aligned mean cosine;
-    zero-norm frames are summed over all four pairings, as framewise."""
+    zero-norm frames are summed over all four pairings, as framewise. Each
+    pairing's path cosines are read from the cosine matrix of its DTW."""
     if ref.level != "dec" or proc.level != "dec":
         raise SimilarityError("binaural_warped_sim applies to decoder-level sequences")
+    refs, procs = ([r.data.astype(np.float64) for r in (b.left, b.right)] for b in (ref, proc))
     best = -np.inf
     zero_norm = 0
-    for a in (ref.left, ref.right):
-        for b in (proc.left, proc.right):
-            val, zero = warped_sim(a, b, dtw_path_fast(a, b, radius))
-            best = max(best, val)
-            zero_norm += zero
+    for A in refs:
+        for B in procs:
+            path, V, zero = _fast_dtw(A, B, radius)
+            idx = tuple(np.array(path.pairs).T)
+            best = max(best, float(V[idx].mean()))
+            zero_norm += int(zero[idx].sum())
     return SimilarityScore(value=float(best), level="dec", zero_norm_frames=zero_norm)
 
 

@@ -10,10 +10,14 @@ encoder frames each, so forward encodes them in chunks of 10, 10 and 4 and
 decodes them in stacks of 8 that span those chunks; every pre, enc and dec
 .hrep it writes must equal, byte for byte, `asr.toy_forward` on its input
 alone, and a second forward on the filled cache must write nothing and
-report all 72 files up to date. Then a dec-level sim and fit read a config
-file whose settings `--dtw-radius 0 --lenient` and `--fit-split train_all`
-override. Exact and fast DTW agree on these short sequences, and the
-manifest has no train trials, so their outputs must equal the dec level's.
+report all 72 files up to date. Every trial's raw_score and zero_norm_frames,
+at every level, must equal those of the reference formulas below: the
+framewise cosines over all frames at once, and the max over the channel
+pairings of `sim.warped_sim` on `sim.dtw_path_fast`'s path. Then a dec-level
+sim and fit read a config file whose settings `--dtw-radius 0 --lenient` and
+`--fit-split train_all` override. Exact and fast DTW agree on these short
+sequences, and the manifest has no train trials, so their outputs must equal
+the dec level's.
 Last, eval reads a params file whose `a` is a string and fit a scores file
 with a field over the csv module's size limit; both must exit 2, a data
 error, not 3. Exits non-zero unless each command exits as stated, those
@@ -32,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hirsim import asr, cli, pipeline, reps
+from hirsim import asr, cli, pipeline, reps, sim
 
 SR = 16000
 SNRS = (None, 10.0, 0.0)  # None: the clean reference itself
@@ -84,12 +88,46 @@ def forward_differs(cache: Path) -> list[str]:
     alone = cache.parent / "alone.hrep"
     bad = []
     for src in sorted(cache.glob("*.input.hrep")):
+        key = src.name.split(".")[0]
+        model_key = pipeline._hash(key.encode(), repr(cfg.asr).encode())
         for level, rep in asr.toy_forward(reps.read_reps(src), cfg.asr).items():
-            path = pipeline._rep_path(cache, src.name.split(".")[0], level, cfg.asr)
+            path = cache / f"{model_key}.{level}.hrep"
             reps.write_reps(rep, alone)
             if not (path.is_file() and path.read_bytes() == alone.read_bytes()):
                 bad.append(path.name)
     return bad
+
+
+def reference_score(chans: list, level: str, radius: int) -> tuple[str, int]:
+    """A trial's (raw_score as written, zero_norm_frames) from its ref-left,
+    ref-right, proc-left and proc-right representations."""
+    ref, proc = chans[:2], chans[2:]
+    if level == "dec":
+        pairs = [sim.warped_sim(a, b, sim.dtw_path_fast(a, b, radius)) for a in ref for b in proc]
+        return f"{max(v for v, _ in pairs):.12g}", sum(z for _, z in pairs)
+    T = min(ref[0].n_frames, proc[0].n_frames)
+    A, B = (np.stack([c.data[:T] for c in side]).astype(np.float64) for side in (ref, proc))
+    A, B = A[:, None], B[None]  # (ref channel, proc channel, frame, dim)
+    na, nb = np.linalg.norm(A, axis=-1), np.linalg.norm(B, axis=-1)
+    zero = (na < sim.ZERO_NORM_EPS) | (nb < sim.ZERO_NORM_EPS)
+    vals = np.where(zero, 0.0, np.einsum("...d,...d->...", A, B) / np.where(zero, 1.0, na * nb))
+    return f"{vals.max(axis=(0, 1)).mean():.12g}", int(zero.sum())
+
+
+def scores_differ(manifest: Path, cache: Path, scores: Path, level: str) -> list[str]:
+    """The (signal_id, listener_id) of each trial whose `scores` row is
+    missing or differs from reference_score."""
+    cfg = pipeline.PipelineConfig(level=level)
+    records = reps.load_manifest(manifest)
+    sources, slots = pipeline._sources(records, manifest, cfg)
+    want = {}
+    for rec, slot in zip(records, slots):
+        chans = [reps.read_reps(pipeline._cached(cache, sources[i], level)) for i in slot]
+        want[rec.signal_id, rec.listener_id] = reference_score(chans, level, cfg.dtw_radius)
+    with scores.open(newline="") as f:
+        got = {(row["signal_id"], row["listener_id"]): (row["raw_score"], int(row["zero_norm_frames"]))
+               for row in csv.DictReader(f)}
+    return [key for key in want if got.get(key) != want[key]]
 
 
 def main() -> int:
@@ -119,6 +157,12 @@ def main() -> int:
             if rc != cli.EXIT_OK:
                 print(f"hirsim {' '.join(argv)} exited {rc}", file=sys.stderr)
                 return 1
+            if argv[2:3] == ["sim"]:
+                bad = scores_differ(Path(base[1]), root / "cache", Path(argv[-1]), argv[1])
+                if bad:
+                    print(f"{argv[1]} scores of {bad[:3]} differ from the reference formulas",
+                          file=sys.stderr)
+                    return 1
             if argv == ["forward"]:
                 n_inputs = len(list((root / "cache").glob("*.input.hrep")))
                 bad = forward_differs(root / "cache")

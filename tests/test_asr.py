@@ -180,6 +180,13 @@ class TestBatchedHeads:
         for n in range(1, 17):
             assert np.array_equal(asr.positional_encoding(n, 64), full[:n])
 
+    def test_positional_encoding_built_once_and_read_only(self):
+        pe = asr.positional_encoding(12, 64)
+        assert asr.positional_encoding(12, 64) is pe
+        assert not pe.flags.writeable
+        with pytest.raises(ValueError):
+            pe[0, 0] = 1.0
+
 
 class TestCausalMask:
     def test_small_cases(self):

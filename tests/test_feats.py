@@ -253,6 +253,15 @@ class TestLogmel:
         with pytest.raises(ValueError):
             fb[0, 0] = 1.0
 
+    def test_window_built_once_and_read_only(self):
+        win = self.cfg.window_samples(SR)
+        w = feats._hann(win)
+        assert feats._hann(win) is w
+        assert np.array_equal(w, np.hanning(win))
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
     @pytest.mark.parametrize("n", [400, 8000, 64000])
     def test_matches_frame_loop_reference(self, rng, n):
         """The framed, batched computation agrees with one FFT per frame."""

@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import weakref
@@ -862,7 +863,10 @@ class TestCli:
         (lambda raw: raw[:20], "truncated signal_id"),
         (lambda raw: raw[:-4] + np.array([np.nan], "<f4").tobytes(),
          "non-finite values in payload"),
-    ], ids=["level-code", "signal-id", "nan-payload"])
+        # 30 bytes whose header declares T = d = 2**31
+        (lambda raw: raw[:8] + struct.pack("<II", 2 ** 31, 2 ** 31) + raw[16:30],
+         f"payload has 4 bytes, header declares {2 ** 64}"),
+    ], ids=["level-code", "signal-id", "nan-payload", "huge-payload"])
     def test_malformed_hrep_source_is_data_error(self, tmp_path, capsys, rng, corrupt, cause):
         d = tmp_path / "d"
         d.mkdir()

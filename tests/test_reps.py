@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 import weakref
 from pathlib import Path
 
@@ -111,6 +112,40 @@ class TestHrepRoundTrip:
         p.write_bytes(b"HREP\x01")
         with pytest.raises(FormatError, match="truncated"):
             read_reps(p)
+
+    def test_huge_declared_payload_is_format_error_before_allocating(self, tmp_path):
+        # 30 bytes whose header declares T = d = 2**31: a 16 EiB payload
+        p = tmp_path / "x.hrep"
+        p.write_bytes(reps.MAGIC + struct.pack("<BBBBIIH", reps.VERSION, 2, 0, 0,
+                                               2 ** 31, 2 ** 31, 4) + b"sig-" + bytes(8))
+        assert p.stat().st_size == 30
+        with pytest.raises(FormatError, match=f"payload has 8 bytes, header declares {2 ** 64}$"):
+            read_reps(p)
+
+
+class TestWriteReps:
+    def test_successful_write_leaves_only_the_target(self, tmp_path, rng):
+        rep = make_rep(rng, 5, 3, level="pre", channel="right", signal_id="sig-\u00e9")
+        p = tmp_path / "x.hrep"
+        write_reps(rep, p)
+        assert list(tmp_path.iterdir()) == [p]
+        sid = "sig-\u00e9".encode()
+        assert p.read_bytes() == (reps.MAGIC + struct.pack("<BBBBIIH", 1, 1, 1, 0, 5, 3, len(sid))
+                                  + sid + rep.data.astype("<f4").tobytes())
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, rng, monkeypatch):
+        p = tmp_path / "x.hrep"
+        write_reps(make_rep(rng, 2, 2), p)
+        before = p.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            write_reps(make_rep(rng, 4, 2), p)
+        assert list(tmp_path.iterdir()) == [p]
+        assert p.read_bytes() == before
 
 
 def _entry(i, split="train", **over):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hirsim import sim
 from hirsim.reps import BinauralRep, RepSequence
@@ -114,6 +116,46 @@ def framewise_per_pairing(ref, proc):
                                      / np.where(z, 1.0, na * nb)))
             zero += int(z.sum())
     return float(np.maximum.reduce(per_pair).mean()), zero
+
+
+def framewise_one_shot(ref, proc):
+    """Oracle: framewise_binaural_sim's cosines taken over all frames at once."""
+    T = sim._reconcile_lengths(ref.left.n_frames, proc.left.n_frames)
+    A, B = (np.stack([r.left.data[:T], r.right.data[:T]]).astype(np.float64) for r in (ref, proc))
+    vals, zero = sim._cosine_rows(A[:, None], B[None])  # (ref channel, proc channel, frame)
+    return float(vals.max(axis=(0, 1)).mean()), int(zero.sum())
+
+
+class TestFramewiseBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5000), st.integers(1, 600), st.integers(-12, 12),
+           st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.integers(0, 2 ** 32 - 1))
+    # blocks of two frames with a last block of three; one frame of a wide level
+    @example(d=sim.BLOCK_VALUES // 2, t_ref=7, diff=0, zero_frac=0.0, seed=0)
+    @example(d=sim.BLOCK_VALUES + 1, t_ref=1, diff=0, zero_frac=0.0, seed=0)
+    def test_equals_one_shot(self, d, t_ref, diff, zero_frac, seed):
+        t_ref = min(t_ref, max(1, 2 ** 17 // d))  # at most 512 KB per channel
+        tol = max(2, int(0.02 * t_ref))
+        t_proc = max(1, t_ref + max(-tol, min(tol, diff)))
+        rng = np.random.default_rng(seed)
+
+        def binaural(t):
+            chans = rng.normal(size=(2, t, d)).astype(np.float32)
+            chans[rng.random((2, t)) < zero_frac] = 0.0
+            return BinauralRep(left=rep(chans[0], "pre", "left"),
+                               right=rep(chans[1], "pre", "right"))
+
+        ref, proc = binaural(t_ref), binaural(t_proc)
+        score = framewise_binaural_sim(ref, proc)
+        assert (score.value, score.zero_norm_frames) == framewise_one_shot(ref, proc)
+
+    def test_widest_level_matches_one_shot_past_numpy_buffer(self, rng):
+        # rows over numpy's 8192-value buffer: a lone-frame block would sum
+        # them in another order
+        ref = make_binaural(rng, 5, 9000, level="pre")
+        proc = make_binaural(rng, 5, 9000, level="pre")
+        score = framewise_binaural_sim(ref, proc)
+        assert (score.value, score.zero_norm_frames) == framewise_one_shot(ref, proc)
 
 
 class TestFramewiseBroadcast:
@@ -269,7 +311,7 @@ class TestDtwTieBreak:
             allowed = rng.random((t1, t2)) < 0.8 if masked else None
             want = outcome(dtw_window_min_backtrace, A, B, allowed)
             got = outcome(sim._dtw_window, A, B, allowed)
-            assert (got if got == "disconnected" else got.pairs) == want
+            assert (got if got == "disconnected" else got[0].pairs) == want
             connected += want != "disconnected"
         assert connected >= 10
 
@@ -302,6 +344,25 @@ def random_path(rng, c1, c2):
         i, j = i + di, j + dj
         pairs.append((i, j))
     return WarpPath(tuple(pairs))
+
+
+class TestWarpedFromDtwMatrix:
+    @settings(max_examples=120, deadline=None)
+    @given(st.tuples(*[st.integers(1, 40)] * 4), st.sampled_from(["random", "repeated", "constant"]),
+           st.integers(1, 6), st.integers(0, 12), st.integers(0, 2 ** 32 - 1))
+    def test_equals_max_over_warped_sim(self, lengths, kind, d, radius, seed):
+        """The decoder score equals the max over pairings of warped_sim on
+        dtw_path_fast's path, and the zero-norm count their sum; "repeated"
+        and "constant" frames make zero-norm rows and DTW ties."""
+        rng = np.random.default_rng(seed)
+        chans = [tie_heavy_frames(rng, kind, t, d).astype(np.float32) for t in lengths]
+        ref = BinauralRep(left=rep(chans[0], "dec", "left"), right=rep(chans[1], "dec", "right"))
+        proc = BinauralRep(left=rep(chans[2], "dec", "left"), right=rep(chans[3], "dec", "right"))
+        per_pairing = [warped_sim(a, b, dtw_path_fast(a, b, radius))
+                       for a in (ref.left, ref.right) for b in (proc.left, proc.right)]
+        score = binaural_warped_sim(ref, proc, radius)
+        assert (score.value, score.zero_norm_frames) == (max(v for v, _ in per_pairing),
+                                                         sum(z for _, z in per_pairing))
 
 
 class TestExpandWindow:
