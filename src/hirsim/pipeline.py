@@ -1,9 +1,11 @@
 """End-to-end pipeline stages: featurize -> forward -> sim -> fit -> eval.
 
 Representations are cached as <cache>/<key>.<level>.hrep, keyed by a content
-hash of the source bytes, channel and config: reruns are idempotent, config
-changes invalidate downstream files, and a source shared by many trials is
-computed once. All stages are deterministic, down to the output bytes.
+hash of the source bytes, channel and config, and the scores of a sim pass as
+<cache>/<key>.<level>.sim, keyed by those of its sources: reruns are
+idempotent, config changes invalidate downstream files, and a source shared by
+many trials is computed once. All stages are deterministic, down to the
+output bytes.
 """
 
 from __future__ import annotations
@@ -163,9 +165,14 @@ def _sources(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig
     return sources, slots
 
 
+def _level_key(keys: tuple[str, str], level: str) -> str:
+    """A source's key at `level`, from its (input key, model key)."""
+    return keys[0] if level == "input" else keys[1]
+
+
 def _rep_path(cache: Path, keys: tuple[str, str], level: str) -> Path:
     """<cache>/<key>.<level>.hrep, for a source's (input key, model key)."""
-    return cache / f"{keys[0] if level == 'input' else keys[1]}.{level}.hrep"
+    return cache / f"{_level_key(keys, level)}.{level}.hrep"
 
 
 def _cached(cache: Path, source: tuple, level: str) -> Path:
@@ -309,12 +316,36 @@ SCORE_FIELDS = ("signal_id", "listener_id", "system_id", "level",
                 "raw_score", "zero_norm_frames")
 
 
+def _score_store(cache: Path, sources: list, tuples: list, cfg: PipelineConfig):
+    """<cache>/<key>.<level>.sim, the stored scores of `tuples`, the distinct
+    tuples of four sources in the order the trials meet them, or None if a
+    source cannot be read. The key is sha256 over each tuple's level keys
+    (fixed-width hex), the level and the DTW radius."""
+    if any(isinstance(keys, OSError) for _, keys, _, _ in sources):
+        return None
+    key = _hash(*(_level_key(sources[i][1], cfg.level).encode() for t in tuples for i in t),
+                cfg.level.encode(), str(cfg.dtw_radius).encode())
+    return cache / f"{key}.{cfg.level}.sim"
+
+
+def _stored(path: Path, level: str, n: int) -> list[sim.SimilarityScore]:
+    """The n scores in .sim file `path`; a score that SimilarityScore
+    rejects is a FormatError naming the file."""
+    try:
+        return [sim.SimilarityScore(v, level, z) for v, z in reps.read_sim(path, level, n)]
+    except ValueError as e:
+        raise reps.FormatError(f"{path}: {e}") from e
+
+
 def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> StageResult:
     """Score every trial at the configured level and write scores.csv.
 
-    Each distinct .hrep is read once and each distinct tuple of four sources
-    is scored once; a representation is dropped after the last trial that
-    names it.
+    If every source is readable and the .sim file of its tuples exists, every
+    score comes from it, no representation is read and `skipped` counts every
+    trial. Otherwise each distinct .hrep is read once and each distinct tuple
+    of four sources is scored once; a representation is dropped after the
+    last trial that names it, and a pass in which every trial scored stores
+    its scores in that .sim file.
     """
     records = sorted(reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent),
                      key=lambda r: (r.signal_id, r.listener_id))
@@ -325,6 +356,11 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
     last = {i: n for n, slot in enumerate(slots) for i in slot}  # last trial naming each source
     held: dict[int, reps.RepSequence] = {}
     scored: dict[tuple, sim.SimilarityScore] = {}
+    tuples = list(dict.fromkeys(slots))  # distinct, in the order the trials meet them
+    store = _score_store(cache, sources, tuples, cfg)
+    if store is not None and store.exists():
+        scored = dict(zip(tuples, _stored(store, cfg.level, len(tuples))))
+        result.skipped = len(records)
 
     def load(i):
         if i not in held:
@@ -351,9 +387,11 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
             if last[i] == n:
                 held.pop(i, None)
 
+    if store is not None and tuples and not (result.skipped or result.failures):
+        reps.write_sim(store, cfg.level, [(s.value, s.zero_norm_frames) for s in scored.values()])
     scores_path = Path(scores_path)
     scores_path.parent.mkdir(parents=True, exist_ok=True)
-    with scores_path.open("w", newline="") as f:
+    with reps.replacing(scores_path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=SCORE_FIELDS)
         writer.writeheader()
         writer.writerows(rows)

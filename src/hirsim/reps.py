@@ -1,11 +1,14 @@
-"""On-disk representation format (.hrep) and trial manifests.
+"""On-disk formats of the cache (.hrep, .sim) and trial manifests.
 
 A .hrep file stores one T x d float32 matrix of hidden representations for
-one channel of one signal, tagged with the level it was taken from.
+one channel of one signal, tagged with the level it was taken from. A .sim
+file stores the raw scores and zero-norm counts of one `sim` pass at one
+level. Every cache file is written through `replacing`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -17,6 +20,9 @@ import numpy as np
 
 MAGIC = b"HREP"
 VERSION = 1
+SIM_MAGIC = b"HSIM"
+# a .sim row: one distinct tuple of sources' raw score and zero_norm_frames
+_SIM_ROW = np.dtype([("value", "<f8"), ("zero_norm_frames", "<i8")])
 
 LEVELS = ("input", "pre", "enc", "dec")
 CHANNELS = ("left", "right")
@@ -88,6 +94,23 @@ class BinauralRep:
         return self.left.signal_id
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str = "wb", **kwargs):
+    """A file opened on the temporary name `<path>.<16 hex digits>.tmp` and
+    renamed to `path` when the block ends, so a crash or a concurrent writer
+    never leaves a torn `path`: it holds the old bytes or the new. If the
+    block or the rename raises, the temporary file is removed. Only a killed
+    process leaves one; nothing reads it."""
+    tmp = Path(f"{path}.{os.urandom(8).hex()}.tmp")
+    try:
+        with tmp.open(mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_reps(rep: RepSequence, path) -> None:
     t, d = rep.data.shape
     sid = rep.signal_id.encode("utf-8")
@@ -98,17 +121,10 @@ def write_reps(rep: RepSequence, path) -> None:
         0, t, d, len(sid),
     )
     payload = np.ascontiguousarray(rep.data, dtype="<f4")
-    # renamed into place, so a crash or concurrent writer never leaves a torn `path`
-    tmp = Path(f"{path}.{os.urandom(8).hex()}.tmp")
-    try:
-        with tmp.open("wb") as f:
-            f.write(header)
-            f.write(sid)
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path) as f:
+        f.write(header)
+        f.write(sid)
+        f.write(payload)
 
 
 def read_reps(path) -> RepSequence:
@@ -144,6 +160,37 @@ def read_reps(path) -> RepSequence:
         if not np.isfinite(data).all():
             raise FormatError(f"{path}: non-finite values in payload") from None
         raise
+
+
+def write_sim(path, level: str, scores) -> None:
+    """Write .sim file `path`: the (raw score, zero_norm_frames) pairs
+    `scores` of `level`, float64 and int64 little-endian."""
+    rows = np.array(list(scores), dtype=_SIM_ROW)
+    with replacing(path) as f:
+        f.write(SIM_MAGIC + struct.pack("<BBHI", VERSION, _LEVEL_CODE[level], 0, len(rows)))
+        f.write(rows.tobytes())
+
+
+def read_sim(path, level: str, n: int) -> list[tuple[float, int]]:
+    """The n (raw score, zero_norm_frames) pairs of `level` in .sim file
+    `path`; a header that does not declare them, or a payload of another
+    size, is a FormatError."""
+    raw = Path(path).read_bytes()
+    if len(raw) < 12:
+        raise FormatError(f"{path}: truncated header")
+    if raw[:4] != SIM_MAGIC:
+        raise FormatError(f"{path}: bad magic")
+    version, level_c, _reserved, count = struct.unpack("<BBHI", raw[4:12])
+    if version != VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    if level_c != _LEVEL_CODE[level]:
+        raise FormatError(f"{path}: level code {level_c} is not {level}'s")
+    if count != n:
+        raise FormatError(f"{path}: holds {count} scores, not {n}")
+    expected = n * _SIM_ROW.itemsize
+    if len(raw) - 12 != expected:
+        raise FormatError(f"{path}: payload has {len(raw) - 12} bytes, header declares {expected}")
+    return np.frombuffer(raw, dtype=_SIM_ROW, offset=12).tolist()
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,8 @@ class SimilarityScore:
     def __post_init__(self):
         if not np.isfinite(self.value) or not (-1.0 - 1e-12 <= self.value <= 1.0 + 1e-12):
             raise ValueError(f"similarity {self.value} outside [-1, 1]")
+        if self.zero_norm_frames < 0:
+            raise ValueError(f"zero_norm_frames {self.zero_norm_frames} is negative")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,9 @@ sim and fit read a config file whose settings `--dtw-radius 0 --lenient` and
 `--fit-split train_all` override. Exact and fast DTW agree on these short
 sequences, and the manifest has no train trials, so their outputs must equal
 the dec level's.
+Then sim reruns at every level on the filled cache, with `reps.read_reps`
+counted: each rerun must read no representation and write the same scores
+bytes as the first run, from the scores that run stored in the cache.
 Last, eval reads a params file whose `a` is a string and fit a scores file
 with a field over the csv module's size limit; both must exit 2, a data
 error, not 3. Exits non-zero unless each command exits as stated, those
@@ -179,6 +182,19 @@ def main() -> int:
                     print(f"forward on a filled cache exited {rc} and printed "
                           f"{out.getvalue()!r}", file=sys.stderr)
                     return 1
+        read_reps, reads = reps.read_reps, []
+        reps.read_reps = lambda path: reads.append(path) or read_reps(path)
+        try:
+            for level in ("input", "pre", "enc", "dec"):
+                first, rerun = root / f"scores_{level}.csv", root / f"scores_{level}_rerun.csv"
+                rc = cli.main(base + ["--level", level, "sim", "--scores", str(rerun)])
+                same = rerun.is_file() and rerun.read_bytes() == first.read_bytes()
+                if (rc, len(reads), same) != (cli.EXIT_OK, 0, True):
+                    print(f"{level} sim on a filled cache exited {rc} and read {len(reads)} "
+                          f"representations; same scores bytes: {same}", file=sys.stderr)
+                    return 1
+        finally:
+            reps.read_reps = read_reps
         bad_params, bad_scores = root / "params_bad.json", root / "scores_bad.csv"
         bad_params.write_text(json.dumps({"a": "1", "b": 1}))
         header = (root / "scores_dec.csv").read_text().splitlines()[0]

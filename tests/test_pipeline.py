@@ -415,6 +415,20 @@ class TestUnreadableSource:
         res = pipeline.run_sim(m, cache, scores, PipelineConfig(level=level, lenient=True))
         assert (res.written, res.failures) == (23, [("s01n1", cause)])
 
+    @pytest.mark.parametrize("level", ["input", "enc"])
+    def test_sim_after_a_stored_run_names_the_cause(self, moved, tmp_path, level):
+        m, cache, cause = moved
+        away, scores = tmp_path / "proc01n1.wav", tmp_path / "scores.csv"
+        away.rename(m.parent / "audio" / away.name)
+        assert pipeline.run_sim(m, cache, scores, PipelineConfig(level=level)).failures == []
+        assert len(list(cache.glob(f"*.{level}.sim"))) == 1
+        (m.parent / "audio" / away.name).rename(away)
+        with pytest.raises(pipeline.PipelineError,
+                           match=f"^sim failed for s01n1: {re.escape(cause)}$"):
+            pipeline.run_sim(m, cache, scores, PipelineConfig(level=level))
+        res = pipeline.run_sim(m, cache, scores, PipelineConfig(level=level, lenient=True))
+        assert (res.written, res.skipped, res.failures) == (23, 0, [("s01n1", cause)])
+
     def test_sim_names_a_representation_never_computed(self, tmp_path):
         m = self_manifest(tmp_path / "d")
         pipeline.run_featurize(m, tmp_path / "c", PipelineConfig())
@@ -422,6 +436,134 @@ class TestUnreadableSource:
                 f"^sim failed for c0: missing enc representation of "
                 f"{re.escape(str(m.parent))}/audio/clean0.wav \\(left\\)$")):
             pipeline.run_sim(m, tmp_path / "c", tmp_path / "s.csv", PipelineConfig(level="enc"))
+
+
+def counted_sim(monkeypatch, m, cache, scores, cfg):
+    """run_sim's result and how many times it called reps.read_reps and
+    sim.binaural_similarity."""
+    calls = {"read": 0, "scored": 0}
+    read_reps, similarity = reps.read_reps, sim.binaural_similarity
+
+    def counting(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    with monkeypatch.context() as mp:
+        mp.setattr(reps, "read_reps", counting("read", read_reps))
+        mp.setattr(sim, "binaural_similarity", counting("scored", similarity))
+        res = pipeline.run_sim(m, cache, scores, cfg)
+    return res, calls["read"], calls["scored"]
+
+
+class TestScoreStore:
+    """sim stores a full pass's scores in <cache>/<key>.<level>.sim; a rerun
+    on the same sources takes them from there."""
+
+    @pytest.fixture
+    def filled(self, tmp_path):
+        """Three trials, one sharing a reference, featurized and forwarded."""
+        m = self_manifest(tmp_path / "d", n=2)
+        add_processed(m, "noisy", synth_speechlike(0) + 0.05, synth_speechlike(1))
+        cache = tmp_path / "cache"
+        pipeline.run_featurize(m, cache, PipelineConfig())
+        pipeline.run_forward(m, cache, PipelineConfig())
+        return m, cache
+
+    @pytest.mark.parametrize("level", reps.LEVELS)
+    def test_rerun_reads_and_scores_nothing(self, filled, tmp_path, monkeypatch, level):
+        m, cache = filled
+        cfg = PipelineConfig(level=level)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        res, n_read, n_scored = counted_sim(monkeypatch, m, cache, first, cfg)
+        assert (res.written, res.skipped, n_read, n_scored) == (3, 0, 6, 3)
+        [store] = cache.glob("*.sim")
+        assert store.name.endswith(f".{level}.sim")
+        assert len(store.name.split(".")[0]) == 64
+        res, n_read, n_scored = counted_sim(monkeypatch, m, cache, second, cfg)
+        assert (res.written, res.skipped, res.failures, n_read, n_scored) == (3, 3, [], 0, 0)
+        assert second.read_bytes() == first.read_bytes()
+        assert list(cache.glob("*.sim")) == [store]
+
+    def test_stored_scores_need_only_the_source_files(self, filled, tmp_path, monkeypatch):
+        m, cache = filled
+        cfg = PipelineConfig(level="enc")
+        pipeline.run_sim(m, cache, tmp_path / "first.csv", cfg)
+        for rep in cache.glob("*.hrep"):
+            rep.unlink()
+        res, n_read, _ = counted_sim(monkeypatch, m, cache, tmp_path / "second.csv", cfg)
+        assert (res.skipped, n_read) == (3, 0)
+        assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+
+    @pytest.mark.parametrize("cfg, rewrite", [
+        (PipelineConfig(level="pre"), False),
+        (PipelineConfig(level="dec", dtw_radius=3), False),
+        (PipelineConfig(level="dec"), True),
+        (PipelineConfig(level="dec", asr=asr.ToyAsrConfig(seed_tag=1)), False),
+    ], ids=["level", "dtw-radius", "source-bytes", "asr-config"])
+    def test_a_changed_input_misses_the_store(self, filled, tmp_path, monkeypatch, cfg, rewrite):
+        m, cache = filled
+        pipeline.run_sim(m, cache, tmp_path / "first.csv", PipelineConfig(level="dec"))
+        [stored] = cache.glob("*.sim")
+        if rewrite:
+            x = synth_speechlike(2)
+            write_stereo_wav(m.parent / "audio" / "noisy_l.wav", x, x)
+        pipeline.run_featurize(m, cache, cfg)
+        pipeline.run_forward(m, cache, cfg)
+        res, n_read, n_scored = counted_sim(monkeypatch, m, cache, tmp_path / "second.csv", cfg)
+        assert res.skipped == 0 and n_read > 0 and n_scored > 0
+        assert {p.name.split(".")[0] for p in cache.glob("*.sim")} - {stored.name.split(".")[0]}
+
+    def test_a_lenient_run_with_a_failure_stores_nothing(self, tmp_path):
+        m = self_manifest(tmp_path / "d")
+        add_processed(m, "uneven", synth_speechlike(7), synth_speechlike(7, n_samples=9600))
+        cache, cfg = tmp_path / "cache", PipelineConfig(level="input", lenient=True)
+        pipeline.run_featurize(m, cache, cfg)
+        res = pipeline.run_sim(m, cache, tmp_path / "scores.csv", cfg)
+        assert (res.written, len(res.failures)) == (2, 1)
+        assert not list(cache.glob("*.sim"))
+        res = pipeline.run_sim(m, cache, tmp_path / "scores.csv", cfg)
+        assert (res.skipped, len(res.failures)) == (0, 1)
+
+    @pytest.mark.parametrize("corrupt, cause", [
+        (lambda raw: b"HREP" + raw[4:], "bad magic"),
+        (lambda raw: raw[:6], "truncated header"),
+        (lambda raw: raw[:-8], "payload has 40 bytes, header declares 48"),
+        (lambda raw: raw[:8] + struct.pack("<I", 2) + raw[12:], "holds 2 scores, not 3"),
+        (lambda raw: raw[:4] + b"\x02" + raw[5:], "unsupported version 2"),
+        (lambda raw: raw[:12] + struct.pack("<d", 1.5) + raw[20:],
+         "similarity 1.5 outside [-1, 1]"),
+        (lambda raw: raw[:20] + struct.pack("<q", -1) + raw[28:],
+         "zero_norm_frames -1 is negative"),
+    ], ids=["magic", "header", "payload", "count", "version", "score", "zero-norm"])
+    def test_malformed_store_is_data_error(self, filled, tmp_path, capsys, corrupt, cause):
+        m, cache = filled
+        base = ["--manifest", str(m), "--cache-dir", str(cache), "--level", "enc", "sim",
+                "--scores", str(tmp_path / "scores.csv")]
+        assert cli.main(base) == cli.EXIT_OK
+        [store] = cache.glob("*.sim")
+        store.write_bytes(corrupt(store.read_bytes()))
+        capsys.readouterr()
+        assert cli.main(base) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {store}: {cause}\n"
+
+    def test_failed_scores_write_keeps_the_old_file(self, filled, tmp_path, monkeypatch):
+        m, cache = filled
+        out = tmp_path / "out"
+        out.mkdir()
+        scores = out / "scores.csv"
+        pipeline.run_sim(m, cache, scores, PipelineConfig(level="enc"))
+        scores.write_text("old\n")
+
+        def crash(src, dst):
+            raise OSError("simulated crash before rename")
+
+        monkeypatch.setattr(reps.os, "replace", crash)
+        with pytest.raises(OSError, match="simulated crash"):
+            pipeline.run_sim(m, cache, scores, PipelineConfig(level="enc"))
+        assert list(out.iterdir()) == [scores]
+        assert scores.read_text() == "old\n"
 
 
 class TestSimFitEval:

@@ -148,6 +148,37 @@ class TestWriteReps:
         assert p.read_bytes() == before
 
 
+class TestSimFile:
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        scores = [(0.1 + 0.2, 0), (-1.0, 7), (np.nextafter(1.0, 0.0), 2 ** 40), (5e-324, 1)]
+        p = tmp_path / "k.enc.sim"
+        reps.write_sim(p, "enc", scores)
+        assert list(tmp_path.iterdir()) == [p]
+        assert p.read_bytes()[:12] == reps.SIM_MAGIC + struct.pack("<BBHI", 1, 2, 0, 4)
+        back = reps.read_sim(p, "enc", 4)
+        assert back == scores
+        assert [type(v) for pair in back for v in pair] == [float, int] * 4
+        assert [f"{v:.12g}" for v, _ in back] == [f"{v:.12g}" for v, _ in scores]
+
+    def test_other_level_is_format_error(self, tmp_path):
+        p = tmp_path / "k.enc.sim"
+        reps.write_sim(p, "enc", [(0.5, 0)])
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: level code 2 is not dec's$"):
+            reps.read_sim(p, "dec", 1)
+
+    def test_text_write_replaces_whole_or_not_at_all(self, tmp_path, monkeypatch):
+        p = tmp_path / "scores.csv"
+        with reps.replacing(p, "w", newline="") as f:
+            f.write("a\r\nb\n")
+        assert p.read_bytes() == b"a\r\nb\n"
+        with pytest.raises(KeyError):
+            with reps.replacing(p, "w", newline="") as f:
+                f.write("partial")
+                raise KeyError("crash mid-write")
+        assert list(tmp_path.iterdir()) == [p]
+        assert p.read_bytes() == b"a\r\nb\n"
+
+
 def _entry(i, split="train", **over):
     e = {
         "signal_id": f"s{i}", "listener_id": f"l{i}", "system_id": "sysA",
