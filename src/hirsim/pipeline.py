@@ -14,7 +14,6 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
-import json
 import math
 import types
 import typing
@@ -245,7 +244,7 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
     records = reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent)
     cache = Path(cache_dir)
     result = StageResult()
-    levels = tuple(levels)
+    levels = tuple(dict.fromkeys(levels))  # a level named twice is one level
     for lv in levels:
         if lv not in MODEL_LEVELS:
             raise PipelineError(f"forward cannot produce level {lv!r}")
@@ -320,11 +319,13 @@ def _score_store(cache: Path, sources: list, tuples: list, cfg: PipelineConfig):
     """<cache>/<key>.<level>.sim, the stored scores of `tuples`, the distinct
     tuples of four sources in the order the trials meet them, or None if a
     source cannot be read. The key is sha256 over each tuple's level keys
-    (fixed-width hex), the level and the DTW radius."""
+    (fixed-width hex), the level and, at dec, the only level that reads it,
+    the DTW radius."""
     if any(isinstance(keys, OSError) for _, keys, _, _ in sources):
         return None
+    radius = str(cfg.dtw_radius).encode() if cfg.level == "dec" else b""
     key = _hash(*(_level_key(sources[i][1], cfg.level).encode() for t in tuples for i in t),
-                cfg.level.encode(), str(cfg.dtw_radius).encode())
+                cfg.level.encode(), radius)
     return cache / f"{key}.{cfg.level}.sim"
 
 
@@ -377,24 +378,15 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
             if slot not in scored:
                 scored[slot] = score(slot)
             value = scored[slot]
-            rows.append({
-                "signal_id": rec.signal_id, "listener_id": rec.listener_id,
-                "system_id": rec.system_id, "level": cfg.level,
-                "raw_score": f"{value.value:.12g}",
-                "zero_norm_frames": value.zero_norm_frames,
-            })
+            rows.append((rec.signal_id, rec.listener_id, rec.system_id, cfg.level,
+                         f"{value.value:.12g}", value.zero_norm_frames))
         for i in slot:
             if last[i] == n:
                 held.pop(i, None)
 
     if store is not None and tuples and not (result.skipped or result.failures):
         reps.write_sim(store, cfg.level, [(s.value, s.zero_norm_frames) for s in scored.values()])
-    scores_path = Path(scores_path)
-    scores_path.parent.mkdir(parents=True, exist_ok=True)
-    with reps.replacing(scores_path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=SCORE_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+    reps.write_csv(scores_path, [SCORE_FIELDS, *rows])
     result.written = len(rows)
     return result
 
@@ -462,12 +454,8 @@ def run_fit(scores_path, manifest_path, params_path, cfg: PipelineConfig) -> cal
     truth = np.array([r.correctness for r in recs])
     params = calib.fit_logistic(zip(raw, truth))
     fit_rmse = calib.rmse(calib.logistic(raw, params), truth)
-    out = Path(params_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(
-        {"a": params.a, "b": params.b, "fit_rmse": fit_rmse, "n_dev": len(recs),
-         "n_dropped": n_dropped},
-        indent=2, allow_nan=False) + "\n")
+    reps.write_json(params_path, {"a": params.a, "b": params.b, "fit_rmse": fit_rmse,
+                                  "n_dev": len(recs), "n_dropped": n_dropped})
     return params
 
 
@@ -482,8 +470,15 @@ def run_eval(scores_path, manifest_path, params_path, out_dir,
     params_raw = reps.require_keys(reps.read_json(params_path, "params"), ("a", "b"),
                                    str(params_path))
     for key in ("a", "b"):
-        if not _matches(params_raw[key], float):
+        value = params_raw[key]
+        if not _matches(value, float):
             raise reps.FormatError(f"{params_path}: {key!r} must be a number")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond float range
+            finite = False
+        if not finite:
+            raise reps.FormatError(f"{params_path}: {key!r} {value} is not finite")
     params = calib.LogisticParams(a=params_raw["a"], b=params_raw["b"])
     rows, raw, n_dropped, level = _labelled(scores_path, manifest_path, cfg, ("eval",))
     if not (rows or n_dropped):
@@ -506,12 +501,8 @@ def run_eval(scores_path, manifest_path, params_path, out_dir,
         ids = [getattr(r, f"{by}_id") for r in rows]
         report[by] = {**calib.group_aggregate(ids, mapped, truth), "grouping": by}
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    reps.write_json(out / "report.json", report)
     for by in GROUPINGS:
-        with (out / f"report_{by}.csv").open("w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow([by, *GROUP_STATS])
-            w.writerows([g["id"], *(f"{g[k]:.12g}" for k in GROUP_STATS)]
-                        for g in report[by]["groups"])
+        reps.write_csv(out / f"report_{by}.csv", [(by, *GROUP_STATS)] + [
+            (g["id"], *(f"{g[k]:.12g}" for k in GROUP_STATS)) for g in report[by]["groups"]])
     return report

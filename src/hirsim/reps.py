@@ -3,12 +3,13 @@
 A .hrep file stores one T x d float32 matrix of hidden representations for
 one channel of one signal, tagged with the level it was taken from. A .sim
 file stores the raw scores and zero-norm counts of one `sim` pass at one
-level. Every cache file is written through `replacing`.
+level. Every file hirsim writes goes through `replacing`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
 import math
 import os
@@ -109,6 +110,21 @@ def replacing(path, mode: str = "wb", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` to `path` as strict JSON, indented by 2, keys sorted."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with replacing(path, "w") as f:
+        f.write(text)
+
+
+def write_csv(path, rows) -> None:
+    """Write `rows` to `path` in the csv module's default dialect."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with replacing(path, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
 
 
 def write_reps(rep: RepSequence, path) -> None:

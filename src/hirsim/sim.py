@@ -22,9 +22,10 @@ MIN_COARSEN_SIZE = 16
 # float64 values of one channel in one framewise block (32 KiB). The
 # whole-sequence temporaries of a 100 x 640 `pre` trial are megabytes, which
 # the allocator maps and unmaps for each trial; blocks this size reuse heap
-# memory. A fresh-process warm `unique_long` pass took 36.3k minor page faults
-# with one block per trial and 12.9k with these, about 5k of either being
-# start-up and import.
+# memory. That counts where `sim` scores: a cold pass, or a level's first `sim`
+# (a rerun takes the stored scores). The first `pre` `sim` of a `unique_long`
+# corpus took 20.7k minor page faults with one block per trial and 5.2k with
+# these.
 BLOCK_VALUES = 4096
 
 

@@ -24,8 +24,8 @@ bytes as the first run, from the scores that run stored in the cache.
 Last, eval reads a params file whose `a` is a string and fit a scores file
 with a field over the csv module's size limit; both must exit 2, a data
 error, not 3. Exits non-zero unless each command exits as stated, those
-outputs are equal, every JSON output is strict JSON, and no scipy module was
-imported.
+outputs are equal, no `*.tmp` file is left anywhere under the directory,
+every JSON output is strict JSON, and no scipy module was imported.
 """
 
 import contextlib
@@ -206,6 +206,10 @@ def main() -> int:
             if rc != cli.EXIT_DATA:
                 print(f"hirsim {' '.join(argv)} exited {rc}, not {cli.EXIT_DATA}", file=sys.stderr)
                 return 1
+        leftover = sorted(p.name for p in root.rglob("*.tmp"))
+        if leftover:
+            print(f"temporary files left behind: {leftover[:3]}", file=sys.stderr)
+            return 1
         for name in ("scores_{}.csv", "params_{}.json"):
             if (root / name.format("flags")).read_bytes() != (root / name.format("dec")).read_bytes():
                 print(f"{name.format('flags')} differs from {name.format('dec')}", file=sys.stderr)

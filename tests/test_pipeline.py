@@ -253,6 +253,20 @@ class TestForward:
         assert (res.written, res.skipped, res.failures) == (0, 3 * n_inputs, [])
         assert read == []
 
+    def test_a_level_named_twice_counts_once(self, dataset, tmp_path, capsys):
+        root, manifest = dataset
+        printed = {}
+        for levels in ("pre", "pre,pre"):
+            base = ["--manifest", str(manifest), "--cache-dir", str(tmp_path / levels)]
+            assert cli.main(base + ["featurize"]) == cli.EXIT_OK
+            capsys.readouterr()
+            for _ in ("cold", "warm"):
+                assert cli.main(base + ["forward", "--levels", levels]) == cli.EXIT_OK
+            printed[levels] = capsys.readouterr().out
+        assert printed["pre,pre"] == printed["pre"] == (
+            "forward: 12 written, 0 up to date, 0 failed\n"
+            "forward: 0 written, 12 up to date, 0 failed\n")
+
     def test_dec_lengths_may_differ(self, dataset, tmp_path):
         root, manifest = dataset
         cfg = PipelineConfig()
@@ -514,6 +528,18 @@ class TestScoreStore:
         res, n_read, n_scored = counted_sim(monkeypatch, m, cache, tmp_path / "second.csv", cfg)
         assert res.skipped == 0 and n_read > 0 and n_scored > 0
         assert {p.name.split(".")[0] for p in cache.glob("*.sim")} - {stored.name.split(".")[0]}
+
+    @pytest.mark.parametrize("level", ["input", "pre", "enc"])
+    def test_the_dtw_radius_keys_only_the_dec_store(self, filled, tmp_path, monkeypatch, level):
+        # only dec scores read the radius
+        m, cache = filled
+        pipeline.run_sim(m, cache, tmp_path / "first.csv", PipelineConfig(level=level))
+        [stored] = cache.glob("*.sim")
+        res, n_read, n_scored = counted_sim(monkeypatch, m, cache, tmp_path / "second.csv",
+                                            PipelineConfig(level=level, dtw_radius=3))
+        assert (res.skipped, n_read, n_scored) == (3, 0, 0)
+        assert list(cache.glob("*.sim")) == [stored]
+        assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
     def test_a_lenient_run_with_a_failure_stores_nothing(self, tmp_path):
         m = self_manifest(tmp_path / "d")
@@ -899,6 +925,21 @@ class TestSimFitEval:
         assert capsys.readouterr().err == f"data error: {params}: {key!r} must be a number\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value, shown", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"),
+        ("1" + "0" * 400, "1" + "0" * 400),
+    ], ids=["nan", "inf", "-inf", "overflow", "huge-int"])
+    @pytest.mark.parametrize("key", ["a", "b"])
+    def test_params_must_be_finite(self, eval_run, tmp_path, capsys, key, value, shown):
+        # Python's json reads each of these values as a number
+        manifest, scores, _, _ = eval_run
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"a": 1, "b": 1, key: "X"}).replace('"X"', value))
+        assert cli.main(["--manifest", str(manifest), "eval", "--scores", str(scores),
+                         "--params", str(params), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {params}: {key!r} {shown} is not finite\n"
+        assert not (tmp_path / "out").exists()
+
     def test_scores_field_over_the_csv_limit_is_data_error(self, eval_run, tmp_path, capsys):
         manifest, scores, _, _ = eval_run
         header, first, *rows = Path(scores).read_text().splitlines(keepends=True)
@@ -926,6 +967,42 @@ class TestSimFitEval:
                 pipeline.run_fit(bad, manifest, tmp_path / "p.json", cfg)
             else:
                 pipeline.run_eval(bad, manifest, params, tmp_path / "out", cfg)
+
+    def test_every_file_written_goes_through_replacing(self, dataset, tmp_path, monkeypatch):
+        root, manifest = dataset
+        cfg = PipelineConfig(level="enc")
+        targets, replacing = set(), reps.replacing
+        monkeypatch.setattr(reps, "replacing",
+                            lambda path, *a, **kw: targets.add(Path(path)) or replacing(path, *a, **kw))
+        cache, scores, params, out = (tmp_path / n for n in ("cache", "s.csv", "p.json", "out"))
+        pipeline.run_featurize(manifest, cache, cfg)
+        pipeline.run_forward(manifest, cache, cfg, levels=("enc",))
+        pipeline.run_sim(manifest, cache, scores, cfg)
+        pipeline.run_fit(scores, manifest, params, cfg)
+        pipeline.run_eval(scores, manifest, params, out, cfg)
+        assert {scores, params, out / "report.json", out / "report_listener.csv",
+                out / "report_system.csv"} <= targets
+        assert {p for p in tmp_path.rglob("*") if p.is_file()} == targets
+
+    @pytest.mark.parametrize("stage", ["fit", "eval"])
+    def test_failed_write_keeps_the_old_outputs(self, eval_run, tmp_path, monkeypatch, stage):
+        manifest, scores, params, cfg = eval_run
+        olds = [tmp_path / n for n in ("p.json", "report.json", "report_listener.csv",
+                                       "report_system.csv")]
+        for p in olds:
+            p.write_text("old\n")
+
+        def crash(src, dst):
+            raise OSError("simulated crash before rename")
+
+        monkeypatch.setattr(reps.os, "replace", crash)
+        with pytest.raises(OSError, match="simulated crash"):
+            if stage == "fit":
+                pipeline.run_fit(scores, manifest, tmp_path / "p.json", cfg)
+            else:
+                pipeline.run_eval(scores, manifest, params, tmp_path, cfg)
+        assert sorted(tmp_path.iterdir()) == sorted(olds)
+        assert all(p.read_text() == "old\n" for p in olds)
 
     def test_eval_without_labels_raises(self, eval_run, tmp_path):
         manifest, scores, params, cfg = eval_run

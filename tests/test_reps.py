@@ -179,6 +179,33 @@ class TestSimFile:
         assert p.read_bytes() == b"a\r\nb\n"
 
 
+class TestWriters:
+    def test_json_is_strict_sorted_and_ends_in_a_newline(self, tmp_path):
+        p = tmp_path / "new" / "p.json"
+        reps.write_json(p, {"b": [1.5, None], "a": 1})
+        assert p.read_text() == '{\n  "a": 1,\n  "b": [\n    1.5,\n    null\n  ]\n}\n'
+        with pytest.raises(ValueError):
+            reps.write_json(p, {"a": float("nan")})
+        assert list(p.parent.iterdir()) == [p]
+        assert json.loads(p.read_text()) == {"a": 1, "b": [1.5, None]}
+
+    def test_csv_uses_the_default_dialect(self, tmp_path):
+        p = tmp_path / "new" / "r.csv"
+        reps.write_csv(p, [("id", "x"), ("a,b", 0.5), ('q"', 2)])
+        assert p.read_bytes() == b'id,x\r\n"a,b",0.5\r\n"q""",2\r\n'
+        assert list(p.parent.iterdir()) == [p]
+
+    def test_a_linked_path_is_replaced_not_written_through(self, tmp_path):
+        target, sym, hard = tmp_path / "target.json", tmp_path / "sym.json", tmp_path / "hard.json"
+        target.write_text("old\n")
+        sym.symlink_to(target)
+        os.link(target, hard)
+        for link in (sym, hard):
+            reps.write_json(link, 1)
+            assert not link.is_symlink() and link.read_text() == "1\n"
+        assert target.read_text() == "old\n"
+
+
 def _entry(i, split="train", **over):
     e = {
         "signal_id": f"s{i}", "listener_id": f"l{i}", "system_id": "sysA",
