@@ -128,9 +128,17 @@ def _print_report(report: dict, source) -> None:
     for section in ("trial", "trial_raw", "listener", "system"):
         if section not in report:
             continue
-        m = reps.require_keys(report[section], ("rmse", "ncc", "kt"), f"{source}: {section!r}")
-        m = {k: float("nan") if v is None else v for k, v in m.items()}
-        print(f"{section:>10}: RMSE {m['rmse']:.4f}  NCC {m['ncc']:.4f}  KT {m['kt']:.4f}")
+        where = f"{source}: {section!r}"
+        m, shown = reps.require_keys(report[section], ("rmse", "ncc", "kt"), where), {}
+        for k in ("rmse", "ncc", "kt"):
+            if m[k] is not None and not pipeline._matches(m[k], float):
+                raise reps.FormatError(f"{where}: {k!r} must be a number or null")
+            try:
+                shown[k] = float("nan") if m[k] is None else float(m[k])
+            except OverflowError:  # an integer beyond float range
+                raise reps.FormatError(f"{where}: {k!r} is beyond float range") from None
+        print(f"{section:>10}: RMSE {shown['rmse']:.4f}  NCC {shown['ncc']:.4f}  "
+              f"KT {shown['kt']:.4f}")
 
 
 if __name__ == "__main__":

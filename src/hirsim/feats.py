@@ -86,6 +86,8 @@ class FeatConfig:
         fmax = self.fmax_hz if self.fmax_hz is not None else sr / 2.0
         if not (self.fmin_hz < fmax <= sr / 2.0):
             raise ValueError("need fmin_hz < fmax_hz <= sample_rate/2")
+        if not math.isfinite(self.window_ms * sr / 1000.0):  # the hop's count is no larger
+            raise ValueError(f"window_ms {self.window_ms} overflows a sample count at {sr} Hz")
         if self.hop_samples(sr) < 1:  # the window is at least as long as the hop
             raise ValueError(f"hop_ms {self.hop_ms} is under one sample at {sr} Hz")
 

@@ -2,10 +2,10 @@
 
 Representations are cached as <cache>/<key>.<level>.hrep, keyed by a content
 hash of the source bytes, channel and config, and the scores of a sim pass as
-<cache>/<key>.<level>.sim, keyed by those of its sources: reruns are
-idempotent, config changes invalidate downstream files, and a source shared by
-many trials is computed once. All stages are deterministic, down to the
-output bytes.
+JSON in <cache>/<key>.<level>.sim.json, keyed by those of its sources: reruns
+are idempotent, config changes invalidate downstream files, and a source
+shared by many trials is computed once. All stages are deterministic, down to
+the output bytes.
 """
 
 from __future__ import annotations
@@ -197,14 +197,16 @@ def run_featurize(manifest_path, cache_dir, cfg: PipelineConfig) -> StageResult:
         by_path.setdefault(path, []).append((signal_id, keys, channel))
 
     for path, uses in by_path.items():
-        signal_id = uses[0][0]
-        # an unreadable source's keys are its error; reading it below raises the cause
+        signal_id, keys = uses[0][:2]
+        # an unreadable source's keys are the error reading it raised
         todo = [(keys, channel) for _, keys, channel in uses
                 if isinstance(keys, OSError) or not _rep_path(cache, keys, "input").exists()]
         result.skipped += len(uses) - len(todo)
         if not todo:
             continue
         with _trial(result, cfg, "featurize", signal_id):
+            if isinstance(keys, OSError):
+                raise keys
             # one read per file: a stereo WAV supplies both channels
             source = reps.read_reps(path) if path.suffix == ".hrep" else feats.read_wav(path)
             for keys, channel in todo:
@@ -316,7 +318,7 @@ SCORE_FIELDS = ("signal_id", "listener_id", "system_id", "level",
 
 
 def _score_store(cache: Path, sources: list, tuples: list, cfg: PipelineConfig):
-    """<cache>/<key>.<level>.sim, the stored scores of `tuples`, the distinct
+    """<cache>/<key>.<level>.sim.json, the stored scores of `tuples`, the distinct
     tuples of four sources in the order the trials meet them, or None if a
     source cannot be read. The key is sha256 over each tuple's level keys
     (fixed-width hex), the level and, at dec, the only level that reads it,
@@ -326,27 +328,41 @@ def _score_store(cache: Path, sources: list, tuples: list, cfg: PipelineConfig):
     radius = str(cfg.dtw_radius).encode() if cfg.level == "dec" else b""
     key = _hash(*(_level_key(sources[i][1], cfg.level).encode() for t in tuples for i in t),
                 cfg.level.encode(), radius)
-    return cache / f"{key}.{cfg.level}.sim"
+    return cache / f"{key}.{cfg.level}.sim.json"
 
 
 def _stored(path: Path, level: str, n: int) -> list[sim.SimilarityScore]:
-    """The n scores in .sim file `path`; a score that SimilarityScore
-    rejects is a FormatError naming the file."""
-    try:
-        return [sim.SimilarityScore(v, level, z) for v, z in reps.read_sim(path, level, n)]
-    except ValueError as e:
-        raise reps.FormatError(f"{path}: {e}") from e
+    """The n scores of `level` in score store `path`, a JSON object
+    {"level": level, "scores": [[raw score, zero_norm_frames], ...]};
+    anything else, or a score that SimilarityScore rejects, is a
+    FormatError naming the file."""
+    store = reps.require_keys(reps.read_json(path, "score store"), ("level", "scores"), str(path))
+    if store["level"] != level:
+        raise reps.FormatError(f"{path}: level {store['level']!r} is not {level!r}")
+    pairs = store["scores"]
+    if not isinstance(pairs, list) or len(pairs) != n:
+        raise reps.FormatError(f"{path}: 'scores' must be an array of {n} pairs")
+    scores = []
+    for i, pair in enumerate(pairs):
+        v, z = pair if isinstance(pair, list) and len(pair) == 2 else (None, None)
+        if not (_matches(v, float) and _matches(z, int)):
+            raise reps.FormatError(f"{path}: score {i} {pair!r} is not a [number, integer] pair")
+        try:
+            scores.append(sim.SimilarityScore(float(v), level, z))
+        except (OverflowError, ValueError) as e:
+            raise reps.FormatError(f"{path}: {e}") from e
+    return scores
 
 
 def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> StageResult:
     """Score every trial at the configured level and write scores.csv.
 
-    If every source is readable and the .sim file of its tuples exists, every
+    If every source is readable and the score store of its tuples exists, every
     score comes from it, no representation is read and `skipped` counts every
     trial. Otherwise each distinct .hrep is read once and each distinct tuple
     of four sources is scored once; a representation is dropped after the
     last trial that names it, and a pass in which every trial scored stores
-    its scores in that .sim file.
+    its scores in that store.
     """
     records = sorted(reps.load_manifest(manifest_path, wcs_percent=cfg.wcs_percent),
                      key=lambda r: (r.signal_id, r.listener_id))
@@ -385,7 +401,8 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
                 held.pop(i, None)
 
     if store is not None and tuples and not (result.skipped or result.failures):
-        reps.write_sim(store, cfg.level, [(s.value, s.zero_norm_frames) for s in scored.values()])
+        reps.write_json(store, {"level": cfg.level, "scores": [
+            (s.value, s.zero_norm_frames) for s in scored.values()]})
     reps.write_csv(scores_path, [SCORE_FIELDS, *rows])
     result.written = len(rows)
     return result

@@ -1,9 +1,9 @@
-"""On-disk formats of the cache (.hrep, .sim) and trial manifests.
+"""On-disk formats of the cache (.hrep) and trial manifests.
 
 A .hrep file stores one T x d float32 matrix of hidden representations for
-one channel of one signal, tagged with the level it was taken from. A .sim
-file stores the raw scores and zero-norm counts of one `sim` pass at one
-level. Every file hirsim writes goes through `replacing`.
+one channel of one signal, tagged with the level it was taken from. Every
+file hirsim writes goes through `replacing`; a JSON or CSV file, such as the
+score store of a `sim` pass, through `write_json` or `write_csv`.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ import numpy as np
 
 MAGIC = b"HREP"
 VERSION = 1
-SIM_MAGIC = b"HSIM"
-# a .sim row: one distinct tuple of sources' raw score and zero_norm_frames
-_SIM_ROW = np.dtype([("value", "<f8"), ("zero_norm_frames", "<i8")])
 
 LEVELS = ("input", "pre", "enc", "dec")
 CHANNELS = ("left", "right")
@@ -172,41 +169,9 @@ def read_reps(path) -> RepSequence:
     try:
         return RepSequence(data=data, level=LEVELS[level_c], channel=CHANNELS[channel_c],
                            signal_id=sid)
-    except ValueError:
-        if not np.isfinite(data).all():
-            raise FormatError(f"{path}: non-finite values in payload") from None
-        raise
-
-
-def write_sim(path, level: str, scores) -> None:
-    """Write .sim file `path`: the (raw score, zero_norm_frames) pairs
-    `scores` of `level`, float64 and int64 little-endian."""
-    rows = np.array(list(scores), dtype=_SIM_ROW)
-    with replacing(path) as f:
-        f.write(SIM_MAGIC + struct.pack("<BBHI", VERSION, _LEVEL_CODE[level], 0, len(rows)))
-        f.write(rows.tobytes())
-
-
-def read_sim(path, level: str, n: int) -> list[tuple[float, int]]:
-    """The n (raw score, zero_norm_frames) pairs of `level` in .sim file
-    `path`; a header that does not declare them, or a payload of another
-    size, is a FormatError."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 12:
-        raise FormatError(f"{path}: truncated header")
-    if raw[:4] != SIM_MAGIC:
-        raise FormatError(f"{path}: bad magic")
-    version, level_c, _reserved, count = struct.unpack("<BBHI", raw[4:12])
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if level_c != _LEVEL_CODE[level]:
-        raise FormatError(f"{path}: level code {level_c} is not {level}'s")
-    if count != n:
-        raise FormatError(f"{path}: holds {count} scores, not {n}")
-    expected = n * _SIM_ROW.itemsize
-    if len(raw) - 12 != expected:
-        raise FormatError(f"{path}: payload has {len(raw) - 12} bytes, header declares {expected}")
-    return np.frombuffer(raw, dtype=_SIM_ROW, offset=12).tolist()
+    except ValueError as e:  # an empty matrix, or non-finite values
+        cause = e if np.isfinite(data).all() else "non-finite values in payload"
+        raise FormatError(f"{path}: {cause}") from None
 
 
 @dataclass(frozen=True)

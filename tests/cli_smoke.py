@@ -1,7 +1,7 @@
 """Every CLI stage on a few small stereo WAVs, with numpy as the only dependency.
 
-    PYTHONPATH=src python tests/cli_smoke.py    # from a checkout
-    python tests/cli_smoke.py                   # with hirsim installed
+    PYTHONPATH=src python -W error::RuntimeWarning tests/cli_smoke.py    # from a checkout
+    python -W error::RuntimeWarning tests/cli_smoke.py                   # installed
 
 Writes 16-bit stereo WAVs with the stdlib `wave` module and a manifest of dev
 and eval trials into a temporary directory, then runs featurize, forward and,
@@ -25,7 +25,8 @@ Last, eval reads a params file whose `a` is a string and fit a scores file
 with a field over the csv module's size limit; both must exit 2, a data
 error, not 3. Exits non-zero unless each command exits as stated, those
 outputs are equal, no `*.tmp` file is left anywhere under the directory,
-every JSON output is strict JSON, and no scipy module was imported.
+every JSON file, the score stores in the cache included, is strict JSON, and
+no scipy module was imported.
 """
 
 import contextlib

@@ -153,6 +153,41 @@ class TestFeaturize:
             "data error: featurize failed for c0: hop_ms 0.01 is under one sample at 16000 Hz\n")
         assert list((tmp_path / "c").iterdir()) == []
 
+    @pytest.mark.parametrize("feat", [{"window_ms": 1e308}, {"window_ms": 1e308, "hop_ms": 1e308}],
+                             ids=["window", "window-and-hop"])
+    def test_overflowing_window_names_stage_and_trial(self, tmp_path, capsys, feat):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"feat": feat}))
+        base = ["--config", str(cfg_path), "--manifest", str(self_manifest(tmp_path / "d")),
+                "--cache-dir", str(tmp_path / "c")]
+        assert cli.main(base + ["featurize"]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == ("data error: featurize failed for c0: "
+                                           "window_ms 1e+308 overflows a sample count at 16000 Hz\n")
+        assert list((tmp_path / "c").iterdir()) == []
+
+    def test_a_source_that_appears_mid_run_fails_as_unreadable(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # the first read of clean1.wav fails, as if it were not there yet;
+        # featurize reports that failure and does not read the file again
+        m = self_manifest(tmp_path / "d", n=2)
+        target = m.parent / "audio" / "clean1.wav"
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def flaky(self):
+            if self == target:
+                reads.append(self)
+                if len(reads) == 1:
+                    raise FileNotFoundError(2, "No such file or directory", str(self))
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", flaky)
+        rc = cli.main(["--manifest", str(m), "--cache-dir", str(tmp_path / "c"), "featurize"])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == ("data error: featurize failed for c1: [Errno 2] "
+                                           f"No such file or directory: '{target}'\n")
+        assert len(reads) == 1
+
     def test_hrep_sources(self, tmp_path, rng):
         # precomputed sources stored at another level and channel: featurize
         # copies their data to input level under the slot's channel
@@ -435,7 +470,7 @@ class TestUnreadableSource:
         away, scores = tmp_path / "proc01n1.wav", tmp_path / "scores.csv"
         away.rename(m.parent / "audio" / away.name)
         assert pipeline.run_sim(m, cache, scores, PipelineConfig(level=level)).failures == []
-        assert len(list(cache.glob(f"*.{level}.sim"))) == 1
+        assert len(list(cache.glob(f"*.{level}.sim.json"))) == 1
         (m.parent / "audio" / away.name).rename(away)
         with pytest.raises(pipeline.PipelineError,
                            match=f"^sim failed for s01n1: {re.escape(cause)}$"):
@@ -471,8 +506,13 @@ def counted_sim(monkeypatch, m, cache, scores, cfg):
     return res, calls["read"], calls["scored"]
 
 
+def first_pair(pair):
+    """A corruption of a score store: its first pair replaced by `pair`."""
+    return lambda store: {**store, "scores": [pair, *store["scores"][1:]]}
+
+
 class TestScoreStore:
-    """sim stores a full pass's scores in <cache>/<key>.<level>.sim; a rerun
+    """sim stores a full pass's scores in <cache>/<key>.<level>.sim.json; a rerun
     on the same sources takes them from there."""
 
     @pytest.fixture
@@ -492,13 +532,13 @@ class TestScoreStore:
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
         res, n_read, n_scored = counted_sim(monkeypatch, m, cache, first, cfg)
         assert (res.written, res.skipped, n_read, n_scored) == (3, 0, 6, 3)
-        [store] = cache.glob("*.sim")
-        assert store.name.endswith(f".{level}.sim")
+        [store] = cache.glob("*.sim.json")
+        assert store.name.endswith(f".{level}.sim.json")
         assert len(store.name.split(".")[0]) == 64
         res, n_read, n_scored = counted_sim(monkeypatch, m, cache, second, cfg)
         assert (res.written, res.skipped, res.failures, n_read, n_scored) == (3, 3, [], 0, 0)
         assert second.read_bytes() == first.read_bytes()
-        assert list(cache.glob("*.sim")) == [store]
+        assert list(cache.glob("*.sim.json")) == [store]
 
     def test_stored_scores_need_only_the_source_files(self, filled, tmp_path, monkeypatch):
         m, cache = filled
@@ -519,7 +559,7 @@ class TestScoreStore:
     def test_a_changed_input_misses_the_store(self, filled, tmp_path, monkeypatch, cfg, rewrite):
         m, cache = filled
         pipeline.run_sim(m, cache, tmp_path / "first.csv", PipelineConfig(level="dec"))
-        [stored] = cache.glob("*.sim")
+        [stored] = cache.glob("*.sim.json")
         if rewrite:
             x = synth_speechlike(2)
             write_stereo_wav(m.parent / "audio" / "noisy_l.wav", x, x)
@@ -527,18 +567,19 @@ class TestScoreStore:
         pipeline.run_forward(m, cache, cfg)
         res, n_read, n_scored = counted_sim(monkeypatch, m, cache, tmp_path / "second.csv", cfg)
         assert res.skipped == 0 and n_read > 0 and n_scored > 0
-        assert {p.name.split(".")[0] for p in cache.glob("*.sim")} - {stored.name.split(".")[0]}
+        assert ({p.name.split(".")[0] for p in cache.glob("*.sim.json")}
+                - {stored.name.split(".")[0]})
 
     @pytest.mark.parametrize("level", ["input", "pre", "enc"])
     def test_the_dtw_radius_keys_only_the_dec_store(self, filled, tmp_path, monkeypatch, level):
         # only dec scores read the radius
         m, cache = filled
         pipeline.run_sim(m, cache, tmp_path / "first.csv", PipelineConfig(level=level))
-        [stored] = cache.glob("*.sim")
+        [stored] = cache.glob("*.sim.json")
         res, n_read, n_scored = counted_sim(monkeypatch, m, cache, tmp_path / "second.csv",
                                             PipelineConfig(level=level, dtw_radius=3))
         assert (res.skipped, n_read, n_scored) == (3, 0, 0)
-        assert list(cache.glob("*.sim")) == [stored]
+        assert list(cache.glob("*.sim.json")) == [stored]
         assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
     def test_a_lenient_run_with_a_failure_stores_nothing(self, tmp_path):
@@ -548,31 +589,74 @@ class TestScoreStore:
         pipeline.run_featurize(m, cache, cfg)
         res = pipeline.run_sim(m, cache, tmp_path / "scores.csv", cfg)
         assert (res.written, len(res.failures)) == (2, 1)
-        assert not list(cache.glob("*.sim"))
+        assert not list(cache.glob("*.sim.json"))
         res = pipeline.run_sim(m, cache, tmp_path / "scores.csv", cfg)
         assert (res.skipped, len(res.failures)) == (0, 1)
 
     @pytest.mark.parametrize("corrupt, cause", [
-        (lambda raw: b"HREP" + raw[4:], "bad magic"),
-        (lambda raw: raw[:6], "truncated header"),
-        (lambda raw: raw[:-8], "payload has 40 bytes, header declares 48"),
-        (lambda raw: raw[:8] + struct.pack("<I", 2) + raw[12:], "holds 2 scores, not 3"),
-        (lambda raw: raw[:4] + b"\x02" + raw[5:], "unsupported version 2"),
-        (lambda raw: raw[:12] + struct.pack("<d", 1.5) + raw[20:],
-         "similarity 1.5 outside [-1, 1]"),
-        (lambda raw: raw[:20] + struct.pack("<q", -1) + raw[28:],
-         "zero_norm_frames -1 is negative"),
-    ], ids=["magic", "header", "payload", "count", "version", "score", "zero-norm"])
+        (lambda store: "not json", "score store {store} is not JSON: "
+         "Expecting value: line 1 column 1 (char 0)"),
+        (lambda store: [store], "{store} is not a JSON object"),
+        (lambda store: {"level": "enc"}, "{store}: missing key 'scores'"),
+        (lambda store: {**store, "level": "dec"}, "{store}: level 'dec' is not 'enc'"),
+        (lambda store: {**store, "scores": store["scores"][:2]},
+         "{store}: 'scores' must be an array of 3 pairs"),
+        (first_pair([True, 0]), "{store}: score 0 [True, 0] is not a [number, integer] pair"),
+        (first_pair(["0.5", 0]), "{store}: score 0 ['0.5', 0] is not a [number, integer] pair"),
+        (first_pair([0.5, 1.0]), "{store}: score 0 [0.5, 1.0] is not a [number, integer] pair"),
+        (first_pair([0.5, False]),
+         "{store}: score 0 [0.5, False] is not a [number, integer] pair"),
+        (first_pair([1.5, 0]), "{store}: similarity 1.5 outside [-1, 1]"),
+        (first_pair([0.5, -1]), "{store}: zero_norm_frames -1 is negative"),
+    ], ids=["not-json", "not-object", "missing-key", "level", "count", "bool-score",
+            "str-score", "float-count", "bool-count", "score", "zero-norm"])
     def test_malformed_store_is_data_error(self, filled, tmp_path, capsys, corrupt, cause):
         m, cache = filled
         base = ["--manifest", str(m), "--cache-dir", str(cache), "--level", "enc", "sim",
                 "--scores", str(tmp_path / "scores.csv")]
         assert cli.main(base) == cli.EXIT_OK
-        [store] = cache.glob("*.sim")
-        store.write_bytes(corrupt(store.read_bytes()))
+        [store] = cache.glob("*.sim.json")
+        bad = corrupt(json.loads(store.read_text()))
+        store.write_text(bad if isinstance(bad, str) else json.dumps(bad))
         capsys.readouterr()
         assert cli.main(base) == cli.EXIT_DATA
-        assert capsys.readouterr().err == f"data error: {store}: {cause}\n"
+        assert capsys.readouterr().err == f"data error: {cause.format(store=store)}\n"
+
+    def test_a_binary_store_of_earlier_versions_is_never_read(self, filled, tmp_path,
+                                                              monkeypatch):
+        # before the JSON store, sim kept its scores in <key>.<level>.sim:
+        # "HSIM", u8 version 1, u8 level code, u16 0, u32 count, then
+        # (f64, i64) little-endian pairs
+        m, cache = filled
+        scores = tmp_path / "scores.csv"
+        base = ["--manifest", str(m), "--cache-dir", str(cache), "--level", "enc", "sim",
+                "--scores", str(scores)]
+        assert cli.main(base) == cli.EXIT_OK
+        first = scores.read_bytes()
+        [store] = cache.glob("*.sim.json")
+        old = store.with_suffix("")
+        pairs = np.array([(0.25, 0)] * 3, dtype=[("value", "<f8"), ("zero_norm_frames", "<i8")])
+        old.write_bytes(b"HSIM" + struct.pack("<BBHI", 1, 2, 0, 3) + pairs.tobytes())
+        store.unlink()
+        opened = []
+        real_open, real_path_open = open, Path.open
+
+        def spy(file, *args, **kwargs):
+            opened.append(Path(file))
+            return real_open(file, *args, **kwargs)
+
+        def path_spy(self, *args, **kwargs):
+            opened.append(self)
+            return real_path_open(self, *args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr("builtins.open", spy)
+            mp.setattr(Path, "open", path_spy)
+            assert cli.main(base) == cli.EXIT_OK
+        # the sources' .hrep files were read, the old store was not
+        assert any(p.suffix == ".hrep" for p in opened) and old not in opened
+        assert scores.read_bytes() == first
+        assert sorted(p.name for p in cache.glob("*.sim*")) == sorted([old.name, store.name])
 
     def test_failed_scores_write_keeps_the_old_file(self, filled, tmp_path, monkeypatch):
         m, cache = filled
@@ -1284,6 +1368,21 @@ class TestCli:
         report.write_text(json.dumps({"level": "enc", "trial": {"rmse": 0.1, "ncc": None, "kt": 0.5}}))
         assert cli.main(["report", "--report", str(report)]) == cli.EXIT_OK
         assert "NCC nan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value, cause", [
+        ([1], "must be a number or null"),
+        ({"a": 1}, "must be a number or null"),
+        (True, "must be a number or null"),
+        ("x", "must be a number or null"),
+        (10 ** 400, "is beyond float range"),
+    ], ids=["array", "object", "bool", "string", "huge-int"])
+    def test_report_metric_that_is_not_a_number_is_data_error(self, tmp_path, capsys, value,
+                                                              cause):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"level": "enc", "trial": {"rmse": 0.1, "ncc": value,
+                                                                "kt": 0.5}}))
+        assert cli.main(["report", "--report", str(report)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {report}: 'trial': 'ncc' {cause}\n"
 
     def test_config_value_types(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

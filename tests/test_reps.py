@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hirsim import reps
+from hirsim import pipeline, reps
 from hirsim.reps import (
     BinauralRep,
     FormatError,
@@ -122,6 +124,15 @@ class TestHrepRoundTrip:
         with pytest.raises(FormatError, match=f"payload has 8 bytes, header declares {2 ** 64}$"):
             read_reps(p)
 
+    @pytest.mark.parametrize("t, d", [(0, 80), (3, 0)])
+    def test_empty_matrix_is_format_error_naming_the_file(self, tmp_path, t, d):
+        p = tmp_path / "x.hrep"
+        p.write_bytes(reps.MAGIC + struct.pack("<BBBBIIH", reps.VERSION, 0, 0, 0, t, d, 0))
+        with pytest.raises(FormatError, match=(
+                f"^{re.escape(str(p))}: representation must be a nonempty T x d matrix, "
+                f"got \\({t}, {d}\\)$")):
+            read_reps(p)
+
 
 class TestWriteReps:
     def test_successful_write_leaves_only_the_target(self, tmp_path, rng):
@@ -149,22 +160,26 @@ class TestWriteReps:
 
 
 class TestSimFile:
-    def test_round_trip_keeps_every_bit(self, tmp_path):
-        scores = [(0.1 + 0.2, 0), (-1.0, 7), (np.nextafter(1.0, 0.0), 2 ** 40), (5e-324, 1)]
-        p = tmp_path / "k.enc.sim"
-        reps.write_sim(p, "enc", scores)
-        assert list(tmp_path.iterdir()) == [p]
-        assert p.read_bytes()[:12] == reps.SIM_MAGIC + struct.pack("<BBHI", 1, 2, 0, 4)
-        back = reps.read_sim(p, "enc", 4)
-        assert back == scores
-        assert [type(v) for pair in back for v in pair] == [float, int] * 4
-        assert [f"{v:.12g}" for v, _ in back] == [f"{v:.12g}" for v, _ in scores]
+    """The score store of a sim pass, as run_sim writes it and reads it back."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.integers(0, 2 ** 40)), max_size=30))
+    @example([(-0.0, 0), (0.0, 1), (5e-324, 2 ** 40), (np.nextafter(1.0, 0.0), 7),
+              (0.1 + 0.2, 3), (-1.0, 0), (1.0, 0)])
+    def test_round_trip_keeps_every_bit(self, tmp_path_factory, scores):
+        p = tmp_path_factory.mktemp("store") / "k.enc.sim.json"
+        reps.write_json(p, {"level": "enc", "scores": scores})
+        back = pipeline._stored(p, "enc", len(scores))
+        assert [(struct.pack("<d", s.value), s.zero_norm_frames) for s in back] == \
+            [(struct.pack("<d", v), z) for v, z in scores]
+        assert [(type(s.value), type(s.zero_norm_frames)) for s in back] == \
+            [(float, int)] * len(scores)
 
     def test_other_level_is_format_error(self, tmp_path):
-        p = tmp_path / "k.enc.sim"
-        reps.write_sim(p, "enc", [(0.5, 0)])
-        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: level code 2 is not dec's$"):
-            reps.read_sim(p, "dec", 1)
+        p = tmp_path / "k.enc.sim.json"
+        reps.write_json(p, {"level": "enc", "scores": [(0.5, 0)]})
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: level 'enc' is not 'dec'$"):
+            pipeline._stored(p, "dec", 1)
 
     def test_text_write_replaces_whole_or_not_at_all(self, tmp_path, monkeypatch):
         p = tmp_path / "scores.csv"
