@@ -223,10 +223,10 @@ def run_featurize(manifest_path, cache_dir, cfg: PipelineConfig) -> StageResult:
 # `shared_short`'s 12-frame inputs, one of `unique_long`'s 100-frame inputs.
 FORWARD_BUDGET = 100
 # encoder outputs of one shape that one decode stack holds, gathered across
-# forward chunks. The decoder's cross-attention scores are only (N, heads,
-# step, T'), so 8 of `unique_long`'s 100-frame outputs decode together. A
-# count, not a budget of keys: a stack runs until its longest decode ends, and
-# larger stacks save little time for more memory.
+# the forward chunks of that shape. The decoder's cross-attention scores are
+# only (N, heads, step, T'), so 8 of `unique_long`'s 100-frame outputs decode
+# together. A count, not a budget of keys: a stack runs until its longest
+# decode ends, and larger stacks save little time for more memory.
 DECODE_STACK = 8
 
 
@@ -235,11 +235,16 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
     """Run the toy model on every distinct input-level .hrep, writing the
     requested hidden-representation levels.
 
-    Inputs whose PreNet outputs have the same shape go through the encoder
-    as one stack, in chunks of at most FORWARD_BUDGET encoder frames (or one
-    input). Flushing a chunk writes its pre and enc levels and decodes the
-    encoder outputs of its shape, gathered across chunks, DECODE_STACK at a
-    time; the end flushes every group down to its last, smaller stack. A
+    Every input is first checked in manifest order: its levels in the cache
+    and, if one is missing, the (T, d) in its .hrep header; so a check error
+    comes before any compute error. The inputs to compute then run in (d, T,
+    manifest) order, each PreNet shape one contiguous run, through one chunk
+    of at most FORWARD_BUDGET encoder frames (or one input) and one decode
+    stack. Before an input that would overfill the chunk, the chunk is
+    flushed: it goes through the encoder as one stack, its pre and enc levels
+    are written, and the encoder outputs of its shape, gathered across
+    chunks, decode DECODE_STACK at a time. Before an input of another shape,
+    and at the end, the flush decodes down to the last, smaller stack. A
     chunk or stack that fails runs each of its inputs alone, so the failure
     names its trial. The outputs equal those of one input at a time.
     """
@@ -250,20 +255,23 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
     for lv in levels:
         if lv not in MODEL_LEVELS:
             raise PipelineError(f"forward cannot produce level {lv!r}")
-    # (model, PreNet frames) -> [(input, array)], an input being (signal_id,
-    # keys, channel, levels to write)
-    encoding: dict[tuple, list] = {}  # of PreNet outputs, in one forward chunk
-    decoding: dict[tuple, list] = {}  # of encoder outputs awaiting a decode stack
+    if not levels:
+        raise PipelineError(f"forward needs at least one level of {', '.join(MODEL_LEVELS)}")
+    # an input is (signal_id, keys, channel, levels to write)
+    pending = []  # (d, T, input, input-level .hrep) of each input to compute
+    chunk = []  # (input, PreNet output) of one forward chunk
+    stack = []  # (input, encoder output) awaiting a decode stack
+    shape = None  # (model, PreNet frames) of the chunk and the stack
 
-    def stacked(step, stack, then):
-        """then(input, array, output) for each (input, array) of `stack`, the
+    def stacked(step, items, then):
+        """then(input, array, output) for each (input, array) of `items`, the
         output being step's for that array in one call on all of them; if that
         call raises a data error, each array goes through step alone."""
         out = None
-        if len(stack) > 1:
+        if len(items) > 1:
             with contextlib.suppress(*DATA_ERRORS):
-                out = step(np.stack([x for _, x in stack]))
-        for i, (item, x) in enumerate(stack):
+                out = step(np.stack([x for _, x in items]))
+        for i, (item, x) in enumerate(items):
             with _trial(result, cfg, "forward", item[0]):
                 then(item, x, out[i] if out is not None else step(x[None])[0])
 
@@ -274,42 +282,49 @@ def run_forward(manifest_path, cache_dir, cfg: PipelineConfig,
                             _rep_path(cache, keys, lv))
             result.written += 1
 
-    def flush(group, least):
-        """Encode `group`'s chunk, then decode stacks of DECODE_STACK of its
-        encoder outputs while at least `least` wait."""
-        model, stack = group[0], decoding.setdefault(group, [])
+    def encoded(item, pre, enc):
+        write(item, "pre", pre)
+        write(item, "enc", enc)
+        if "dec" in item[-1]:
+            stack.append((item, enc))
 
-        def encoded(item, pre, enc):
-            write(item, "pre", pre)
-            write(item, "enc", enc)
-            if "dec" in item[-1]:
-                stack.append((item, enc))
-
-        stacked(model.encode, encoding.pop(group, []), encoded)
-        while len(stack) >= least:
-            stacked(model.decode_greedy, stack[:DECODE_STACK],
-                    lambda item, enc, dec: write(item, "dec", dec[0]))
-            del stack[:DECODE_STACK]
+    def flush(least):
+        """Encode the chunk, then decode stacks of DECODE_STACK encoder
+        outputs while at least `least` wait."""
+        if shape:
+            stacked(shape[0].encode, chunk, encoded)
+            chunk.clear()
+            while len(stack) >= least:
+                stacked(shape[0].decode_greedy, stack[:DECODE_STACK],
+                        lambda item, enc, dec: write(item, "dec", dec[0]))
+                del stack[:DECODE_STACK]
 
     for source in _sources(records, manifest_path, cfg)[0]:
         signal_id, keys, _, channel = source
-        group = None
         with _trial(result, cfg, "forward", signal_id):
             src = _cached(cache, source, "input")
             todo = [lv for lv in levels if not _rep_path(cache, keys, lv).exists()]
             result.skipped += len(levels) - len(todo)
             if todo:
-                features = reps.read_reps(src)
-                model = asr.shared_model(cfg.asr, features.dim)
-                pre = model.prenet(features.data.astype(np.float64))
-                group = (model, len(pre))
-        if group:
-            chunk = encoding.setdefault(group, [])
-            chunk.append(((signal_id, keys, channel, todo), pre))
-            if (len(chunk) + 1) * len(pre) > FORWARD_BUDGET:
-                flush(group, DECODE_STACK)
-    for group in {**encoding, **decoding}:
-        flush(group, 1)
+                t, d = reps.read_shape(src)
+                pending.append((d, t, (signal_id, keys, channel, todo), src))
+    for _, _, item, src in sorted(pending, key=lambda p: p[:2]):
+        pre = None
+        with _trial(result, cfg, "forward", item[0]):
+            features = reps.read_reps(src)
+            model = asr.shared_model(cfg.asr, features.dim)
+            pre = model.prenet(features.data.astype(np.float64))
+        if pre is None:
+            continue
+        # flushed only now, so the chunk is freed below this input's arrays:
+        # freed before them, glibc trims the heap and refaults it per input
+        if shape != (model, len(pre)):
+            flush(1)
+        elif (len(chunk) + 1) * len(pre) > FORWARD_BUDGET:
+            flush(DECODE_STACK)
+        shape = (model, len(pre))
+        chunk.append((item, pre))
+    flush(1)
     return result
 
 

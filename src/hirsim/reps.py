@@ -140,35 +140,49 @@ def write_reps(rep: RepSequence, path) -> None:
         f.write(payload)
 
 
+def _read_header(f, path) -> tuple[str, str, str, int, int]:
+    """The level, channel, signal_id, T and d in the header of .hrep file
+    `path`, open as `f`, which is left at the payload."""
+    head = f.read(18)
+    if len(head) < 18:
+        raise FormatError(f"{path}: truncated header")
+    if head[:4] != MAGIC:
+        raise FormatError(f"{path}: bad magic")
+    version, level_c, channel_c, _reserved, t, d, sid_len = struct.unpack("<BBBBIIH", head[4:])
+    if version != VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    if level_c >= len(LEVELS) or channel_c >= len(CHANNELS):
+        raise FormatError(f"{path}: invalid level/channel code")
+    sid = f.read(sid_len)
+    if len(sid) < sid_len:
+        raise FormatError(f"{path}: truncated signal_id")
+    try:
+        return LEVELS[level_c], CHANNELS[channel_c], sid.decode("utf-8"), t, d
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: signal_id is not UTF-8: {e}") from None
+
+
+def read_shape(path) -> tuple[int, int]:
+    """The (T, d) in the header of .hrep file `path`; the payload is not read."""
+    with open(path, "rb") as f:
+        return _read_header(f, path)[3:]
+
+
 def read_reps(path) -> RepSequence:
     """The representation in .hrep file `path`. The payload size the header
     declares is checked against the file's before anything is allocated, and
     the payload is read straight into the returned array."""
     with open(path, "rb") as f:
-        head = f.read(18)
-        if len(head) < 18:
-            raise FormatError(f"{path}: truncated header")
-        if head[:4] != MAGIC:
-            raise FormatError(f"{path}: bad magic")
-        version, level_c, channel_c, _reserved, t, d, sid_len = struct.unpack("<BBBBIIH", head[4:])
-        if version != VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        if level_c >= len(LEVELS) or channel_c >= len(CHANNELS):
-            raise FormatError(f"{path}: invalid level/channel code")
-        sid = f.read(sid_len)
-        if len(sid) < sid_len:
-            raise FormatError(f"{path}: truncated signal_id")
-        sid = sid.decode("utf-8")
+        level, channel, sid, t, d = _read_header(f, path)
         expected = t * d * 4
-        size = os.fstat(f.fileno()).st_size - 18 - sid_len
+        size = os.fstat(f.fileno()).st_size - f.tell()
         if size == expected:
             data = np.empty((t, d), dtype="<f4")
             size = f.readinto(data)  # short if the file shrank since fstat
         if size != expected:
             raise FormatError(f"{path}: payload has {size} bytes, header declares {expected}")
     try:
-        return RepSequence(data=data, level=LEVELS[level_c], channel=CHANNELS[channel_c],
-                           signal_id=sid)
+        return RepSequence(data=data, level=level, channel=channel, signal_id=sid)
     except ValueError as e:  # an empty matrix, or non-finite values
         cause = e if np.isfinite(data).all() else "non-finite values in payload"
         raise FormatError(f"{path}: {cause}") from None

@@ -21,12 +21,16 @@ the dec level's.
 Then sim reruns at every level on the filled cache, with `reps.read_reps`
 counted: each rerun must read no representation and write the same scores
 bytes as the first run, from the scores that run stored in the cache.
-Last, eval reads a params file whose `a` is a string and fit a scores file
+Then eval reads a params file whose `a` is a string and fit a scores file
 with a field over the csv module's size limit; both must exit 2, a data
-error, not 3. Exits non-zero unless each command exits as stated, those
-outputs are equal, no `*.tmp` file is left anywhere under the directory,
-every JSON file, the score stores in the cache included, is strict JSON, and
-no scipy module was imported.
+error, not 3. Last, featurize and forward run on a second manifest whose
+clips alternate between 10 and 11 encoder frames, so forward flushes its
+chunk and decode stack when the length changes; every pre, enc and dec .hrep
+it writes must again equal `asr.toy_forward` on its input alone. Exits
+non-zero unless each command exits as stated, those outputs are equal, no
+`*.tmp` file is left anywhere under the directory, every JSON file, the score
+stores in the cache included, is strict JSON, and no scipy module was
+imported.
 """
 
 import contextlib
@@ -74,6 +78,25 @@ def build(root: Path) -> Path:
                 "ref_left": f"ref{i}.wav", "ref_right": f"ref{i}.wav",
                 "proc_left": f"proc{i}{j}.wav", "proc_right": f"proc{i}{j}.wav",
             })
+    manifest = root / "manifest.json"
+    manifest.write_text(json.dumps(entries))
+    return manifest
+
+
+def build_interleaved(root: Path) -> Path:
+    """6 trials whose clips alternate between 6400 and 7040 samples (10 and 11
+    encoder frames), each with four distinct inputs."""
+    root.mkdir()
+    entries = []
+    for i in range(6):
+        t = np.arange((6400, 7040)[i % 2]) / SR
+        for side, f0 in (("ref", 120.0), ("proc", 150.0)):
+            write_wav(root / f"{side}{i}.wav", 0.3 * np.sin(2 * np.pi * (f0 + 20.0 * i) * t))
+        entries.append({
+            "signal_id": f"m{i}", "listener_id": "L0", "system_id": "S0", "correctness": 0.5,
+            "split": "eval", "ref_left": f"ref{i}.wav", "ref_right": f"ref{i}.wav",
+            "proc_left": f"proc{i}.wav", "proc_right": f"proc{i}.wav",
+        })
     manifest = root / "manifest.json"
     manifest.write_text(json.dumps(entries))
     return manifest
@@ -207,6 +230,20 @@ def main() -> int:
             if rc != cli.EXIT_DATA:
                 print(f"hirsim {' '.join(argv)} exited {rc}, not {cli.EXIT_DATA}", file=sys.stderr)
                 return 1
+        cache = root / "cache_interleaved"
+        mixed = ["--manifest", str(build_interleaved(root / "interleaved")),
+                 "--cache-dir", str(cache)]
+        for argv in (["featurize"], ["forward"]):
+            rc = cli.main(mixed + argv)
+            if rc != cli.EXIT_OK:
+                print(f"hirsim {' '.join(argv)} on interleaved lengths exited {rc}",
+                      file=sys.stderr)
+                return 1
+        n_inputs, bad = len(list(cache.glob("*.input.hrep"))), forward_differs(cache)
+        if n_inputs != 24 or bad:
+            print(f"forward of {n_inputs} interleaved-length inputs: {len(bad)} .hrep files "
+                  f"differ from one input at a time: {bad[:3]}", file=sys.stderr)
+            return 1
         leftover = sorted(p.name for p in root.rglob("*.tmp"))
         if leftover:
             print(f"temporary files left behind: {leftover[:3]}", file=sys.stderr)

@@ -219,29 +219,46 @@ class TestFeaturize:
             assert abs(rows["s0"] - 1.0) < 1e-9
 
 
+def clip_trials(audio, n_samples, prefix):
+    """A trial per entry of `n_samples`, whose reference and processed clips
+    have that many samples, each with four distinct inputs."""
+    audio.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for i, n in enumerate(n_samples):
+        names = {}
+        for side in ("ref", "proc"):
+            x = synth_speechlike(2 * i + (side == "proc"), n_samples=n)
+            write_stereo_wav(audio / f"{prefix}{i}_{side}.wav", x, 0.8 * x)
+            names[f"{side}_left"] = names[f"{side}_right"] = f"audio/{prefix}{i}_{side}.wav"
+        entries.append({"signal_id": f"{prefix}{i}", "listener_id": "L0", "system_id": "S0",
+                        "correctness": 0.5, "split": "eval", **names})
+    return entries
+
+
 def mixed_length_manifests(root):
     """Five trials whose clips give 48, 48, 48, 49 and 398 log-mel frames (12,
     12, 12, 13 and 100 encoder frames), each with four distinct inputs. Returns
     the manifest of those and one that adds trial 'short': trial a0 with a
     processed left channel of 3 frames, fewer than the PreNet needs."""
-    audio = root / "audio"
-    audio.mkdir(parents=True)
-    entries = []
-    for i, n_samples in enumerate((8000, 8000, 8000, 8160, 64000)):
-        names = {}
-        for side in ("ref", "proc"):
-            x = synth_speechlike(2 * i + (side == "proc"), n_samples=n_samples)
-            write_stereo_wav(audio / f"a{i}_{side}.wav", x, 0.8 * x)
-            names[f"{side}_left"] = names[f"{side}_right"] = f"audio/a{i}_{side}.wav"
-        entries.append({"signal_id": f"a{i}", "listener_id": "L0", "system_id": "S0",
-                        "correctness": 0.5, "split": "eval", **names})
+    entries = clip_trials(root / "audio", (8000, 8000, 8000, 8160, 64000), "a")
     x = synth_speechlike(99, n_samples=800)
-    write_stereo_wav(audio / "short.wav", x, x)
+    write_stereo_wav(root / "audio" / "short.wav", x, x)
     good, full = root / "good.json", root / "full.json"
     good.write_text(json.dumps(entries))
     full.write_text(json.dumps(
         entries + [{**entries[0], "signal_id": "short", "proc_left": "audio/short.wav"}]))
     return good, full
+
+
+def interleaved_length_manifests(root):
+    """Six trials whose clips alternate between 48 and 49 log-mel frames (12
+    and 13 encoder frames), so 12 inputs of each length. Returns the manifest
+    of those and one of the same trials sorted by length."""
+    entries = clip_trials(root / "audio", (8000, 8160) * 3, "b")
+    mixed, by_length = root / "mixed.json", root / "by_length.json"
+    mixed.write_text(json.dumps(entries))
+    by_length.write_text(json.dumps(entries[::2] + entries[1::2]))
+    return mixed, by_length
 
 
 def forward_files(manifest, cache, cfg):
@@ -275,15 +292,17 @@ class TestForward:
         assert not list(cache.glob("*.dec.hrep"))
 
     def test_warm_forward_reads_no_representation(self, dataset, tmp_path, monkeypatch):
-        # the levels are checked before an input is read, so a filled cache reads nothing
+        # the levels are checked before an input or its header is read, so a
+        # filled cache reads nothing
         root, manifest = dataset
         cfg = PipelineConfig()
         cache = tmp_path / "cache"
         pipeline.run_featurize(manifest, cache, cfg)
         pipeline.run_forward(manifest, cache, cfg)
         n_inputs = len(list(cache.glob("*.input.hrep")))
-        read, read_reps = [], reps.read_reps
-        monkeypatch.setattr(reps, "read_reps", lambda p: read.append(p) or read_reps(p))
+        read = []
+        for name in ("read_reps", "read_shape"):
+            monkeypatch.setattr(reps, name, lambda p, f=getattr(reps, name): read.append(p) or f(p))
         res = pipeline.run_forward(manifest, cache, cfg)
         assert (res.written, res.skipped, res.failures) == (0, 3 * n_inputs, [])
         assert read == []
@@ -358,6 +377,61 @@ class TestForward:
         # chunks: the four 100-frame inputs decode as one stack
         assert sorted(stacks) == [(4, 12), (4, 13), (4, 100), (8, 12)]
         assert all(n <= pipeline.DECODE_STACK for n, _ in stacks)
+
+    def test_interleaved_lengths_run_in_length_order(self, tmp_path, monkeypatch):
+        mixed, by_length = interleaved_length_manifests(tmp_path / "d")
+        calls = []  # (step, inputs, encoder frames) of each encode and decode stack
+        for name in ("encode", "decode_greedy"):
+            monkeypatch.setattr(asr.ToyAsr, name, lambda model, x, f=getattr(asr.ToyAsr, name):
+                                calls.append((f.__name__, *x.shape[:2])) or f(model, x))
+        runs = {}
+        for m in (mixed, by_length):
+            files, result = forward_files(m, tmp_path / m.stem, PipelineConfig())
+            assert (len(files), result.failures) == (72, [])
+            runs[m.stem] = calls[:], files
+            calls.clear()
+        # one contiguous run of calls per shape, though the manifest alternates:
+        # the encoder frames of each call that starts a run
+        frames = [t for _, _, t in runs["mixed"][0]]
+        assert [t for i, t in enumerate(frames) if i == 0 or frames[i - 1] != t] == [12, 13]
+        # the same chunks and stacks as the trials sorted by length
+        assert sorted(runs["mixed"][0]) == sorted(runs["by_length"][0]) == sorted(
+            [("encode", 8, 12), ("encode", 4, 12), ("encode", 7, 13), ("encode", 5, 13),
+             ("decode_greedy", 8, 12), ("decode_greedy", 4, 12),
+             ("decode_greedy", 8, 13), ("decode_greedy", 4, 13)])
+        # and the bytes of one input at a time
+        cfg, alone = PipelineConfig(), tmp_path / "alone.hrep"
+        sources, _ = pipeline._sources(reps.load_manifest(mixed), mixed, cfg)
+        want = {}
+        for _, keys, _, _ in sources:
+            src = reps.read_reps(pipeline._rep_path(tmp_path / "mixed", keys, "input"))
+            for level, rep in asr.toy_forward(src, cfg.asr).items():
+                reps.write_reps(rep, alone)
+                want[pipeline._rep_path(tmp_path, keys, level).name] = alone.read_bytes()
+        assert runs["mixed"][1] == runs["by_length"][1] == want
+
+    def test_check_errors_come_before_compute_errors(self, tmp_path, capsys):
+        # 'short' is a compute error listed before 'gone', whose input has a
+        # truncated header: the header pass runs first, in manifest order
+        m = self_manifest(tmp_path / "d")
+        cache = tmp_path / "c"
+        base = ["--manifest", str(m), "--cache-dir", str(cache)]
+        add_processed(m, "short", synth_speechlike(7, n_samples=800), synth_speechlike(7))
+        assert cli.main(base + ["featurize"]) == cli.EXIT_OK
+        before = set(cache.glob("*.input.hrep"))
+        add_processed(m, "gone", synth_speechlike(8), synth_speechlike(9))
+        assert cli.main(base + ["featurize"]) == cli.EXIT_OK
+        gone = min(set(cache.glob("*.input.hrep")) - before)
+        gone.write_bytes(gone.read_bytes()[:10])
+        capsys.readouterr()
+        assert cli.main(base + ["forward"]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: forward failed for gone: {gone}: truncated header\n")
+        assert cli.main(base + ["--lenient", "forward"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"  FAILED gone: {gone}: truncated header"
+        assert err[1].startswith("  FAILED short: 3 frames is shorter than the PreNet")
+        assert len(err) == 2
 
     def test_short_clip_fails_alone(self, tmp_path):
         good, full = mixed_length_manifests(tmp_path / "d")
@@ -1148,6 +1222,14 @@ class TestCli:
         assert rc == cli.EXIT_DATA
         assert capsys.readouterr().err == "data error: forward cannot produce level 'input'\n"
 
+    @pytest.mark.parametrize("levels", ["", " , "])
+    def test_forward_rejects_no_level(self, tmp_path, capsys, levels):
+        rc = cli.main(["--manifest", str(self_manifest(tmp_path)), "--cache-dir",
+                       str(tmp_path / "c"), "forward", "--levels", levels])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: forward needs at least one level of pre, enc, dec\n")
+
     def test_non_numeric_raw_score_is_data_error(self, tmp_path, capsys):
         scores = write_scores(tmp_path / "s.csv", [("c0", "L0", "high")])
         assert cli.main(["--manifest", str(self_manifest(tmp_path)),
@@ -1164,12 +1246,14 @@ class TestCli:
     @pytest.mark.parametrize("corrupt, cause", [
         (lambda raw: raw[:5] + b"\x09" + raw[6:], "invalid level/channel code"),
         (lambda raw: raw[:20], "truncated signal_id"),
+        (lambda raw: raw[:18] + b"\xff" + raw[19:], "signal_id is not UTF-8: 'utf-8' codec "
+         "can't decode byte 0xff in position 0: invalid start byte"),
         (lambda raw: raw[:-4] + np.array([np.nan], "<f4").tobytes(),
          "non-finite values in payload"),
         # 30 bytes whose header declares T = d = 2**31
         (lambda raw: raw[:8] + struct.pack("<II", 2 ** 31, 2 ** 31) + raw[16:30],
          f"payload has 4 bytes, header declares {2 ** 64}"),
-    ], ids=["level-code", "signal-id", "nan-payload", "huge-payload"])
+    ], ids=["level-code", "signal-id", "signal-id-utf8", "nan-payload", "huge-payload"])
     def test_malformed_hrep_source_is_data_error(self, tmp_path, capsys, rng, corrupt, cause):
         d = tmp_path / "d"
         d.mkdir()

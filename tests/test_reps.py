@@ -78,6 +78,7 @@ class TestHrepRoundTrip:
             p = tmp_path / f"r{i}.hrep"
             write_reps(rep, p)
             back = read_reps(p)
+            assert reps.read_shape(p) == rep.data.shape
             assert back.level == rep.level
             assert back.channel == rep.channel
             assert back.signal_id == rep.signal_id
@@ -114,6 +115,18 @@ class TestHrepRoundTrip:
         p.write_bytes(b"HREP\x01")
         with pytest.raises(FormatError, match="truncated"):
             read_reps(p)
+
+    @pytest.mark.parametrize("read", [read_reps, reps.read_shape], ids=["reps", "shape"])
+    def test_signal_id_that_is_not_utf8_is_format_error_naming_the_file(self, tmp_path, rng,
+                                                                        read):
+        p = tmp_path / "x.hrep"
+        write_reps(make_rep(rng, 2, 2, signal_id="sig"), p)
+        raw = p.read_bytes()
+        p.write_bytes(raw[:18] + b"\xff" + raw[19:])
+        with pytest.raises(FormatError, match=(
+                f"^{re.escape(str(p))}: signal_id is not UTF-8: 'utf-8' codec can't decode "
+                "byte 0xff in position 0: invalid start byte$")):
+            read(p)
 
     def test_huge_declared_payload_is_format_error_before_allocating(self, tmp_path):
         # 30 bytes whose header declares T = d = 2**31: a 16 EiB payload
