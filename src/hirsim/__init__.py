@@ -6,19 +6,4 @@ cosine/DTW similarity -> logistic calibration -> RMSE/NCC/Kendall-tau
 evaluation against listener word correctness.
 """
 
-from .calib import LogisticParams, fit_logistic, kendall_tau, logistic, ncc, rmse
-from .feats import FeatConfig, StereoSignal, frame_count, logmel, read_wav
-from .reps import BinauralRep, RepSequence, TrialRecord, load_manifest, read_reps, write_reps
-from .sim import (
-    SimilarityScore,
-    WarpPath,
-    binaural_similarity,
-    binaural_warped_sim,
-    cosine,
-    dtw_path_exact,
-    dtw_path_fast,
-    framewise_binaural_sim,
-    warped_sim,
-)
-
 __version__ = "0.1.0"

@@ -65,12 +65,15 @@ def _mse(ab: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 _GRID_SLOPES = 2.0 ** np.arange(-2.0, 9.0, 0.5)  # per standard deviation of x
 
 
-def _grid_start(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _grid_starts(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
     """(a, b) of the best curve on a coarse grid: slopes of +-2^-2..2^8.5 per
     standard deviation of x in half octaves, each through one data point
     (x_i, f = y_i, clipped) or through f = 1/2 midway between neighbouring
     points. At most 64 anchors, scored on at most 256 points spread over the
-    sorted x."""
+    sorted x. Then, if the best error per slope of the winner's sign, in
+    slope order, has another strict local minimum, the best curve of the
+    lowest one: a start in a second basin, such as the steep one of a small
+    noisy set, that descent from the winner does not reach."""
     order = np.argsort(x, kind="stable")
     xs, zs, ys = x[order], z[order], y[order]
 
@@ -81,14 +84,20 @@ def _grid_start(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     ax, az = spread(64, xs, zs)
     ax, az = np.r_[ax, (ax[1:] + ax[:-1]) / 2], np.r_[az, np.zeros(ax.size - 1)]
     sx, sy = spread(256, xs, ys)
-    best = (np.inf, 0.0, 0.0)
-    for slope in np.r_[-_GRID_SLOPES, _GRID_SLOPES] / x.std():
+    slopes = np.r_[-_GRID_SLOPES, _GRID_SLOPES] / x.std()
+    cells = np.empty((slopes.size, 3))  # (error, slope, offset) of each slope's best curve
+    for i, slope in enumerate(slopes):
         offsets = az - slope * ax
         err = ((expit(-(slope * sx + offsets[:, None])) - sy) ** 2).mean(axis=1)
         k = np.argmin(err)
-        if err[k] < best[0]:
-            best = (err[k], slope, offsets[k])
-    return np.array(best[1:])
+        cells[i] = err[k], slope, offsets[k]
+    cells[np.isnan(cells[:, 0])] = np.inf, 0.0, 0.0  # never wins, unless every error is NaN
+    won = np.argmin(cells[:, 0])
+    side = np.arange(slopes.size).reshape(2, -1)[won // _GRID_SLOPES.size]  # winner's sign
+    e = np.r_[np.inf, cells[side, 0], np.inf]
+    lows = side[(e[1:-1] < e[:-2]) & (e[1:-1] < e[2:]) & (side != won)]
+    lowest = lows[np.argsort(cells[lows, 0], kind="stable")[:1]]  # none, or the lowest
+    return [cells[won, 1:], *cells[lowest, 1:]]
 
 
 def _trust_step(f: float, g: float, h: float, c0: float, c1: float,
@@ -212,11 +221,11 @@ def _levenberg_marquardt(x: np.ndarray, y: np.ndarray, ab,
 def fit_logistic(pairs) -> LogisticParams:
     """Least-squares fit of the logistic mapping on (raw_score, wcs) pairs.
 
-    Deterministic. Levenberg-Marquardt with the analytic Jacobian refines two
-    starts and keeps the better fit: the closed form, a linear least-squares
-    fit of -logit(wcs) (clipped away from 0 and 1) on [raw_score, 1], and the
-    best curve of a coarse grid, which catches the steep local minima of small
-    noisy or binary sets.
+    Deterministic. Levenberg-Marquardt with the analytic Jacobian refines each
+    start and keeps the best fit, the earliest on a tie: the closed form, a
+    linear least-squares fit of -logit(wcs) (clipped away from 0 and 1) on
+    [raw_score, 1], then the starts of a coarse grid, which catch the steep
+    local minima of small noisy or binary sets.
     """
     pairs = list(pairs)
     x, y = _paired([p[0] for p in pairs], [p[1] for p in pairs], 3)
@@ -226,7 +235,7 @@ def fit_logistic(pairs) -> LogisticParams:
     X = np.column_stack([x, np.ones_like(x)])
     z = -logit(np.clip(y, 1e-3, 1.0 - 1e-3))
     fits = [_levenberg_marquardt(x, y, start)
-            for start in (np.linalg.lstsq(X, z, rcond=None)[0], _grid_start(x, y, z))]
+            for start in (np.linalg.lstsq(X, z, rcond=None)[0], *_grid_starts(x, y, z))]
     a, b = min(fits, key=lambda ab: _mse(ab, x, y))
     return LogisticParams(a=float(a), b=float(b))
 

@@ -129,16 +129,12 @@ def _print_report(report: dict, source) -> None:
         if section not in report:
             continue
         where = f"{source}: {section!r}"
-        m, shown = reps.require_keys(report[section], ("rmse", "ncc", "kt"), where), {}
+        m, shown = reps.require_keys(report[section], ("rmse", "ncc", "kt"), where), []
         for k in ("rmse", "ncc", "kt"):
-            if m[k] is not None and not pipeline._matches(m[k], float):
+            if not reps.matches(m[k], float | None):
                 raise reps.FormatError(f"{where}: {k!r} must be a number or null")
-            try:
-                shown[k] = float("nan") if m[k] is None else float(m[k])
-            except OverflowError:  # an integer beyond float range
-                raise reps.FormatError(f"{where}: {k!r} is beyond float range") from None
-        print(f"{section:>10}: RMSE {shown['rmse']:.4f}  NCC {shown['ncc']:.4f}  "
-              f"KT {shown['kt']:.4f}")
+            shown.append(f"{k.upper()} {float('nan') if m[k] is None else m[k]:.4f}")
+        print(f"{section:>10}: " + "  ".join(shown))
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ import csv
 import dataclasses
 import hashlib
 import math
-import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,19 +58,6 @@ class PipelineConfig:
             raise ValueError("dtw_radius must be >= 0")
 
 
-def _matches(value, hint) -> bool:
-    """Whether JSON `value` is of type `hint`: an int is a float, a bool is
-    not a number, and a tuple comes as an array."""
-    if hint in (int, float):
-        return isinstance(value, (int, hint)) and not isinstance(value, bool)
-    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
-        return isinstance(value, list) and all(_matches(v, typing.get_args(hint)[0])
-                                               for v in value)
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        return any(_matches(value, h) for h in typing.get_args(hint))
-    return isinstance(value, hint)
-
-
 def _from_json(raw, cls, where: str):
     """A `cls` from a JSON object of its fields, each holding a value of the
     field's type; a dataclass field from a nested object."""
@@ -86,7 +72,7 @@ def _from_json(raw, cls, where: str):
         hint = hints[key]
         if dataclasses.is_dataclass(hint):
             value = _from_json(value, hint, f"{where}: {key!r}")
-        elif not _matches(value, hint):
+        elif not reps.matches(value, hint):
             name = hint if typing.get_args(hint) else hint.__name__
             raise ValueError(f"{where}: {key!r} must be {name}")
         kwargs[key] = value
@@ -360,11 +346,11 @@ def _stored(path: Path, level: str, n: int) -> list[sim.SimilarityScore]:
     scores = []
     for i, pair in enumerate(pairs):
         v, z = pair if isinstance(pair, list) and len(pair) == 2 else (None, None)
-        if not (_matches(v, float) and _matches(z, int)):
+        if not (reps.matches(v, float) and reps.matches(z, int)):
             raise reps.FormatError(f"{path}: score {i} {pair!r} is not a [number, integer] pair")
         try:
             scores.append(sim.SimilarityScore(float(v), level, z))
-        except (OverflowError, ValueError) as e:
+        except ValueError as e:
             raise reps.FormatError(f"{path}: {e}") from e
     return scores
 
@@ -503,13 +489,9 @@ def run_eval(scores_path, manifest_path, params_path, out_dir,
                                    str(params_path))
     for key in ("a", "b"):
         value = params_raw[key]
-        if not _matches(value, float):
+        if not reps.matches(value, float):
             raise reps.FormatError(f"{params_path}: {key!r} must be a number")
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer beyond float range
-            finite = False
-        if not finite:
+        if not math.isfinite(value):
             raise reps.FormatError(f"{params_path}: {key!r} {value} is not finite")
     params = calib.LogisticParams(a=params_raw["a"], b=params_raw["b"])
     rows, raw, n_dropped, level = _labelled(scores_path, manifest_path, cfg, ("eval",))

@@ -14,6 +14,8 @@ import json
 import math
 import os
 import struct
+import types
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -211,13 +213,35 @@ class TrialRecord:
             raise ValueError(f"unknown split {self.split!r}")
 
 
+def _json_int(text: str) -> int:
+    value = int(text)
+    float(value)  # OverflowError if no float can hold it
+    return value
+
+
 def read_json(path, what: str):
-    """The JSON value in file `path`. A file that is not JSON is a
-    FormatError naming it as `what`; an OSError names the path itself."""
+    """The JSON value in file `path`. A file that is not JSON, or that holds
+    an integer no float can hold, is a FormatError naming it as `what`; an
+    OSError names the path itself."""
     try:
-        return json.loads(Path(path).read_bytes())
+        return json.loads(Path(path).read_bytes(), parse_int=_json_int)
     except ValueError as e:
         raise FormatError(f"{what} {path} is not JSON: {e}") from e
+    except OverflowError:
+        raise FormatError(f"{what} {path} holds an integer beyond float range") from None
+
+
+def matches(value, hint) -> bool:
+    """Whether JSON `value` is of type `hint`: an int is a float, a bool is
+    not a number, and a tuple comes as an array."""
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        return isinstance(value, list) and all(matches(v, typing.get_args(hint)[0])
+                                               for v in value)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(matches(value, h) for h in typing.get_args(hint))
+    return isinstance(value, hint)
 
 
 def require_keys(obj, keys, where: str) -> dict:
@@ -233,7 +257,7 @@ def require_keys(obj, keys, where: str) -> dict:
 def _text(value, path, i: int, key: str) -> str:
     """A text field of manifest entry `i` that is not a JSON string: a number,
     as its string; anything else is a FormatError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not matches(value, float):
         raise FormatError(f"{path}: entry {i}: {key} {value!r} is not a string or number")
     return str(value)
 
@@ -259,7 +283,8 @@ def load_manifest(path, wcs_percent: bool = False) -> list[TrialRecord]:
         if not (isinstance(entry, dict) and entry.keys() >= required):
             require_keys(entry, names, f"{path}: entry {i}")  # names the first missing field
         wcs = entry["correctness"]
-        if wcs is not None and (isinstance(wcs, bool) or not isinstance(wcs, (int, float))):
+        # a float, nearly every entry, is let through without a call
+        if type(wcs) is not float and wcs is not None and not matches(wcs, float):
             raise FormatError(f"{path}: entry {i}: correctness {wcs!r} is not a number")
         wcs = math.nan if wcs is None else float(wcs)  # strict JSON has no NaN: null is unknown
         if wcs_percent:

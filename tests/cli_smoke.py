@@ -21,16 +21,17 @@ the dec level's.
 Then sim reruns at every level on the filled cache, with `reps.read_reps`
 counted: each rerun must read no representation and write the same scores
 bytes as the first run, from the scores that run stored in the cache.
-Then eval reads a params file whose `a` is a string and fit a scores file
-with a field over the csv module's size limit; both must exit 2, a data
-error, not 3. Last, featurize and forward run on a second manifest whose
-clips alternate between 10 and 11 encoder frames, so forward flushes its
-chunk and decode stack when the length changes; every pre, enc and dec .hrep
-it writes must again equal `asr.toy_forward` on its input alone. Exits
-non-zero unless each command exits as stated, those outputs are equal, no
-`*.tmp` file is left anywhere under the directory, every JSON file, the score
-stores in the cache included, is strict JSON, and no scipy module was
-imported.
+Then eval reads a params file whose `a` is a string, fit a scores file
+with a field over the csv module's size limit, and featurize a manifest with
+a correctness of 1 followed by 400 zeros, an integer no float can hold; each
+must exit 2, a data error, not 3. Last, featurize and forward run on a
+second manifest whose clips alternate between 10 and 11 encoder frames, so
+forward flushes its chunk and decode stack when the length changes; every
+pre, enc and dec .hrep it writes must again equal `asr.toy_forward` on its
+input alone. Exits non-zero unless each command exits as stated, those
+outputs are equal, no `*.tmp` file is left anywhere under the directory,
+every JSON file, the score stores in the cache included, is strict JSON, and
+no scipy module was imported.
 """
 
 import contextlib
@@ -223,10 +224,15 @@ def main() -> int:
         bad_params.write_text(json.dumps({"a": "1", "b": 1}))
         header = (root / "scores_dec.csv").read_text().splitlines()[0]
         bad_scores.write_text(f"{header}\n{'x' * (csv.field_size_limit() + 1)}\n")
-        for argv in (["eval", "--scores", str(root / "scores_dec.csv"), "--params",
-                      str(bad_params), "--out-dir", str(root / "out_bad")],
-                     ["fit", "--scores", str(bad_scores), "--params", str(root / "params_out.json")]):
-            rc = cli.main(base + argv)
+        huge = root / "manifest_huge.json"
+        entry = {**json.loads(Path(base[1]).read_text())[0], "correctness": "X"}
+        huge.write_text(json.dumps([entry]).replace('"X"', "1" + "0" * 400))
+        for argv in (base + ["eval", "--scores", str(root / "scores_dec.csv"), "--params",
+                             str(bad_params), "--out-dir", str(root / "out_bad")],
+                     base + ["fit", "--scores", str(bad_scores), "--params",
+                             str(root / "params_out.json")],
+                     ["--manifest", str(huge), "--cache-dir", base[3], "featurize"]):
+            rc = cli.main(argv)
             if rc != cli.EXIT_DATA:
                 print(f"hirsim {' '.join(argv)} exited {rc}, not {cli.EXIT_DATA}", file=sys.stderr)
                 return 1

@@ -142,7 +142,7 @@ class TestSigmoid:
 
 
 def minpack_fit_mse(x, y):
-    """MSE of the better MINPACK Levenberg-Marquardt fit from fit_logistic's two starts."""
+    """MSE of the best MINPACK Levenberg-Marquardt fit from fit_logistic's starts."""
     X = np.column_stack([x, np.ones_like(x)])
     z = -scipy.special.logit(np.clip(y, 1e-3, 1.0 - 1e-3))
 
@@ -152,7 +152,7 @@ def minpack_fit_mse(x, y):
 
     return min(_mse(*least_squares(lambda ab: expit(-(X @ ab)) - y, start, jac=jac,
                                    method="lm", ftol=1e-15, xtol=1e-15, gtol=1e-15).x, x, y)
-               for start in (np.linalg.lstsq(X, z, rcond=None)[0], calib._grid_start(x, y, z)))
+               for start in (np.linalg.lstsq(X, z, rcond=None)[0], *calib._grid_starts(x, y, z)))
 
 
 class TestFitLogistic:
@@ -205,6 +205,10 @@ class TestFitLogistic:
 
     @settings(max_examples=40, deadline=None)
     @given(calibration_sets())
+    # the grid's best curve, a = -1.70, leads to a local minimum at a = -1.74;
+    # the oracle's, at a = -25.95, lies in a second, steeper basin
+    @example([(0, .75), (.625, 0), (.71875, .5625), (0, .3125), (0, .125), (0, .1875),
+              (1, .8125), (.8125, 1), (1, .9375), (.75, .125)])
     def test_mse_no_worse_than_grid_oracle(self, pairs):
         x, y = np.array(pairs).T
         fast, slow = fit_logistic(pairs), fit_logistic_grid(pairs)

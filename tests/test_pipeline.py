@@ -1083,19 +1083,23 @@ class TestSimFitEval:
         assert capsys.readouterr().err == f"data error: {params}: {key!r} must be a number\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value, shown", [
-        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"),
-        ("1" + "0" * 400, "1" + "0" * 400),
+    @pytest.mark.parametrize("value, cause", [
+        ("NaN", "{path}: {key!r} nan is not finite"),
+        ("Infinity", "{path}: {key!r} inf is not finite"),
+        ("-Infinity", "{path}: {key!r} -inf is not finite"),
+        ("1e400", "{path}: {key!r} inf is not finite"),
+        ("1" + "0" * 400, "params {path} holds an integer beyond float range"),
     ], ids=["nan", "inf", "-inf", "overflow", "huge-int"])
     @pytest.mark.parametrize("key", ["a", "b"])
-    def test_params_must_be_finite(self, eval_run, tmp_path, capsys, key, value, shown):
-        # Python's json reads each of these values as a number
+    def test_params_must_be_finite(self, eval_run, tmp_path, capsys, key, value, cause):
+        # Python's json reads each of these values as a number, the last one
+        # as an int no float can hold
         manifest, scores, _, _ = eval_run
         params = tmp_path / "p.json"
         params.write_text(json.dumps({"a": 1, "b": 1, key: "X"}).replace('"X"', value))
         assert cli.main(["--manifest", str(manifest), "eval", "--scores", str(scores),
                          "--params", str(params), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_DATA
-        assert capsys.readouterr().err == f"data error: {params}: {key!r} {shown} is not finite\n"
+        assert capsys.readouterr().err == f"data error: {cause.format(path=params, key=key)}\n"
         assert not (tmp_path / "out").exists()
 
     def test_scores_field_over_the_csv_limit_is_data_error(self, eval_run, tmp_path, capsys):
@@ -1454,11 +1458,11 @@ class TestCli:
         assert "NCC nan" in capsys.readouterr().out
 
     @pytest.mark.parametrize("value, cause", [
-        ([1], "must be a number or null"),
-        ({"a": 1}, "must be a number or null"),
-        (True, "must be a number or null"),
-        ("x", "must be a number or null"),
-        (10 ** 400, "is beyond float range"),
+        ([1], "{path}: 'trial': 'ncc' must be a number or null"),
+        ({"a": 1}, "{path}: 'trial': 'ncc' must be a number or null"),
+        (True, "{path}: 'trial': 'ncc' must be a number or null"),
+        ("x", "{path}: 'trial': 'ncc' must be a number or null"),
+        (10 ** 400, "report {path} holds an integer beyond float range"),
     ], ids=["array", "object", "bool", "string", "huge-int"])
     def test_report_metric_that_is_not_a_number_is_data_error(self, tmp_path, capsys, value,
                                                               cause):
@@ -1466,7 +1470,50 @@ class TestCli:
         report.write_text(json.dumps({"level": "enc", "trial": {"rmse": 0.1, "ncc": value,
                                                                 "kt": 0.5}}))
         assert cli.main(["report", "--report", str(report)]) == cli.EXIT_DATA
-        assert capsys.readouterr().err == f"data error: {report}: 'trial': 'ncc' {cause}\n"
+        assert capsys.readouterr().err == f"data error: {cause.format(path=report)}\n"
+
+    @pytest.mark.parametrize("kind, key", [
+        ("manifest", "correctness"),
+        *[("config", key) for key in ("window_ms", "hop_ms", "fmin_hz", "fmax_hz", "log_floor")],
+        ("params", "a"),
+        ("report", "ncc"),
+        ("score store", "scores"),
+    ], ids=lambda v: v.replace(" ", "-"))
+    def test_an_integer_no_float_can_hold_is_data_error(self, tmp_path, capsys, kind, key):
+        def write_huge(path, obj):
+            # the string "X" of obj as 1 followed by 400 zeros
+            path.write_text(json.dumps(obj).replace('"X"', "1" + "0" * 400))
+            return path
+
+        m = self_manifest(tmp_path / "d")
+        scores = tmp_path / "scores.csv"
+        base = ["--manifest", str(m), "--cache-dir", str(tmp_path / "cache")]
+        sim_argv = base + ["--level", "input", "sim", "--scores", str(scores)]
+        if kind == "manifest":
+            path = write_huge(m, [{**json.loads(m.read_text())[0], key: "X"}])
+            argv = base + ["featurize"]
+        elif kind == "config":
+            path = write_huge(tmp_path / "cfg.json", {"feat": {key: "X"}})
+            argv = base + ["--config", str(path), "featurize"]
+        elif kind == "params":
+            path = write_huge(tmp_path / "params.json", {"a": "X", "b": 0})
+            argv = base + ["eval", "--scores", str(scores), "--params", str(path),
+                           "--out-dir", str(tmp_path / "out")]
+        elif kind == "report":
+            path = write_huge(tmp_path / "report.json",
+                              {"level": "enc", "trial": {"rmse": 0.1, key: "X", "kt": 0.5}})
+            argv = ["report", "--report", str(path)]
+        else:
+            assert cli.main(base + ["featurize"]) == cli.main(sim_argv) == cli.EXIT_OK
+            [path] = (tmp_path / "cache").glob("*.sim.json")
+            store = json.loads(path.read_text())
+            store[key][0][0] = "X"
+            write_huge(path, store)
+            argv = sim_argv
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {kind} {path} holds an integer beyond float range\n")
 
     def test_config_value_types(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
