@@ -28,7 +28,7 @@ LAMBDA_DECODE = 0.4
 BLANK = 0
 
 
-class AsrError(Exception):
+class AsrError(ValueError):
     pass
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class MetricError(Exception):
+class MetricError(ValueError):
     pass
 
 
@@ -225,10 +225,14 @@ def fit_logistic(pairs) -> LogisticParams:
     start and keeps the best fit, the earliest on a tie: the closed form, a
     linear least-squares fit of -logit(wcs) (clipped away from 0 and 1) on
     [raw_score, 1], then the starts of a coarse grid, which catch the steep
-    local minima of small noisy or binary sets.
+    local minima of small noisy or binary sets. Raw scores beyond 2^64 in
+    magnitude are fitted divided by the power of two 2^e that brings them
+    below it, and a is divided by 2^e after, so no sum of squares overflows.
     """
     pairs = list(pairs)
     x, y = _paired([p[0] for p in pairs], [p[1] for p in pairs], 3)
+    e = max(math.frexp(np.abs(x).max())[1] - 64, 0)
+    x = np.ldexp(x, -e)
     if np.ptp(x) == 0.0:
         raise MetricError("raw scores are all identical; fit is degenerate")
 
@@ -237,7 +241,7 @@ def fit_logistic(pairs) -> LogisticParams:
     fits = [_levenberg_marquardt(x, y, start)
             for start in (np.linalg.lstsq(X, z, rcond=None)[0], *_grid_starts(x, y, z))]
     a, b = min(fits, key=lambda ab: _mse(ab, x, y))
-    return LogisticParams(a=float(a), b=float(b))
+    return LogisticParams(a=math.ldexp(a, -e), b=float(b))
 
 
 def rmse(pred, truth) -> float:

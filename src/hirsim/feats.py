@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .reps import RepSequence
 
 
-class AudioError(Exception):
+class AudioError(ValueError):
     """Unreadable or unsupported audio input."""
 
 

@@ -24,13 +24,12 @@ import numpy as np
 from . import asr, calib, feats, reps, sim
 
 
-class PipelineError(Exception):
+class PipelineError(ValueError):
     pass
 
 
-# what bad input raises: recorded per trial under --lenient; the CLI exits 2 on it
-DATA_ERRORS = (PipelineError, reps.FormatError, feats.AudioError, sim.SimilarityError,
-               calib.MetricError, asr.AsrError, OSError, ValueError)
+# what bad input raises: every error class hirsim defines is a ValueError
+DATA_ERRORS = (OSError, ValueError)
 
 
 # the levels the toy model writes, from the input level's features
@@ -112,40 +111,35 @@ def _sources(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig
     """The distinct inputs of `records`, and each trial's place among them.
 
     `sources` lists (first trial's signal_id, keys, path, channel) once per
-    distinct input key, and once per unreadable source file, whose keys are
-    the OSError that reading it raised. The keys are the input key,
-    sha256(sha256(file bytes) || repr(cfg.feat) || channel), and the model
-    levels' key, sha256(input key || repr(cfg.asr)). Each manifest name is
-    resolved once, each (name, channel) keyed once, and each resolved file
-    hashed once. `slots[i]` holds trial i's ref-left, ref-right, proc-left and
-    proc-right sources as indices into `sources`."""
+    distinct (file digest, channel), and once per unreadable source file,
+    whose keys are the OSError that reading it raised. The keys are the input
+    key, sha256(sha256(file bytes) || repr(cfg.feat) || channel), and the
+    model levels' key, sha256(input key || repr(cfg.asr)). Each manifest name
+    is resolved and its file hashed once, so a file named two ways (`a.wav`
+    and `./a.wav`) is read twice. `slots[i]` holds trial i's ref-left,
+    ref-right, proc-left and proc-right sources as indices into `sources`."""
     feat, model = repr(cfg.feat).encode(), repr(cfg.asr).encode()
-    paths: dict[str, Path] = {}  # name in the manifest -> resolved path
-    digests: dict[Path, bytes | OSError] = {}
-    named: dict[tuple, int] = {}  # (name in the manifest, channel) -> index
-    index: dict = {}  # input key, or the error of an unreadable file -> index
+    files: dict[str, tuple] = {}  # name in the manifest -> (resolved path, digest or OSError)
+    index: dict = {}  # (digest, channel), or an unreadable file's path -> index
     sources, slots = [], []
     for rec in records:
         slot = []
         for ref, channel in zip((rec.ref_left, rec.ref_right, rec.proc_left, rec.proc_right),
                                 reps.CHANNELS * 2):
-            if (ref, channel) not in named:
-                if ref not in paths:
-                    paths[ref] = reps.resolve_path(manifest_path, ref)
-                path = paths[ref]
-                if path not in digests:
-                    try:
-                        digests[path] = hashlib.sha256(path.read_bytes()).digest()
-                    except OSError as e:
-                        digests[path] = e  # one error per file: one source for both channels
-                d = digests[path]
+            if ref not in files:
+                path = reps.resolve_path(manifest_path, ref)
+                try:
+                    files[ref] = path, hashlib.sha256(path.read_bytes()).digest()
+                except OSError as e:
+                    files[ref] = path, e
+            path, d = files[ref]
+            at = path if isinstance(d, OSError) else (d, channel)  # one error per file
+            if at not in index:
+                index[at] = len(sources)
                 key = d if isinstance(d, OSError) else _hash(d, feat, channel.encode())
-                if key not in index:
-                    index[key] = len(sources)
-                    keys = key if isinstance(key, OSError) else (key, _hash(key.encode(), model))
-                    sources.append((rec.signal_id, keys, path, channel))
-                named[ref, channel] = index[key]
-            slot.append(named[ref, channel])
+                keys = key if isinstance(key, OSError) else (key, _hash(key.encode(), model))
+                sources.append((rec.signal_id, keys, path, channel))
+            slot.append(index[at])
         slots.append(tuple(slot))
     return sources, slots
 

@@ -32,7 +32,7 @@ _LEVEL_CODE = {name: i for i, name in enumerate(LEVELS)}
 _CHANNEL_CODE = {name: i for i, name in enumerate(CHANNELS)}
 
 
-class FormatError(Exception):
+class FormatError(ValueError):
     """Malformed .hrep file or manifest."""
 
 
@@ -289,10 +289,10 @@ def load_manifest(path, wcs_percent: bool = False) -> list[TrialRecord]:
         wcs = math.nan if wcs is None else float(wcs)  # strict JSON has no NaN: null is unknown
         if wcs_percent:
             wcs /= 100.0
-        try:
-            rec = TrialRecord(*[wcs if k == "correctness" else
-                                v if type(v := entry[k]) is str else _text(v, path, i, k)
-                                for k in names])
+        values = [wcs if k == "correctness" else
+                  v if type(v := entry[k]) is str else _text(v, path, i, k) for k in names]
+        try:  # TrialRecord's checks only: _text's FormatError is a ValueError too
+            rec = TrialRecord(*values)
         except ValueError as e:
             raise FormatError(f"{path}: entry {i}: {e}") from e
         key = (rec.signal_id, rec.listener_id)

@@ -29,7 +29,7 @@ MIN_COARSEN_SIZE = 16
 BLOCK_VALUES = 4096
 
 
-class SimilarityError(Exception):
+class SimilarityError(ValueError):
     pass
 
 

@@ -3,14 +3,16 @@ the values committed in `golden.json`.
 
     PYTHONPATH=src python tests/test_golden.py   # rewrite golden.json from this checkout
 
-At each level: the sum and L2 norm of the level's .hrep payloads, every raw
-score as `scores.csv` holds it, the `params.json` of a fit on the dev split,
-and the RMSE, NCC and Kendall's tau of each `report.json` section. A number
-matches within the relative tolerance RTOL of its kind; a payload sum, which
-cancels to about 0 where frames are layer-normalised (enc, dec), within that
-of its level's L2 norm; `null`, an undefined correlation, matches only
-`null`. Rewrite the file only for a deliberate numeric change, and list the
-values that moved.
+At each level: the sum and L2 norm of the level's .hrep payloads and their
+sum weighted by a ramp from -1 to 1 over each payload's flattened values,
+every raw score as `scores.csv` holds it, the `params.json` of a fit on the
+dev split, and the RMSE, NCC and Kendall's tau of each `report.json`
+section. Where frames are layer-normalised (enc, dec) the sum cancels to
+about 0 and the L2 norm is sqrt(frames * d) for any weights, so there the
+ramp is what sees the payloads: negating them, for one, negates it. A number matches within the relative tolerance RTOL of its kind; a
+payload sum or ramp also within that of its level's L2 norm; `null`, an
+undefined correlation, matches only `null`. Rewrite the file only for a
+deliberate numeric change, and list the values that moved.
 """
 
 import json
@@ -47,7 +49,9 @@ def golden_values(root: Path) -> dict:
                     for p in sorted(cache.glob(f"*.{level}.hrep"))]
         values[level] = {
             "hrep": {"sum": math.fsum(float(d.sum()) for d in payloads),
-                     "l2": math.sqrt(math.fsum(float((d * d).sum()) for d in payloads))},
+                     "l2": math.sqrt(math.fsum(float((d * d).sum()) for d in payloads)),
+                     "ramp": math.fsum(float(np.linspace(-1.0, 1.0, d.size) @ d.ravel())
+                                       for d in payloads)},
             "scores": {f"{row['signal_id']}/{row['listener_id']}": row["raw_score"]
                        for row in pipeline.read_scores(scores)},
             "params": reps.read_json(params, "params"),
@@ -74,8 +78,9 @@ def test_outputs_match_the_golden_values(tmp_path):
     def close(path):
         if got[path] is None or want[path] is None:
             return got[path] is want[path]
-        rtol = RTOL[path.split("/")[1]]
-        scale = want[path[:-len("sum")] + "l2"] if path.endswith("/hrep/sum") else 0.0
+        level, kind, key = path.split("/")[:3]
+        rtol = RTOL[kind]
+        scale = want[f"{level}/hrep/l2"] if kind == "hrep" and key != "l2" else 0.0
         return math.isclose(got[path], want[path], rel_tol=rtol, abs_tol=rtol * scale)
 
     off = [(path, got[path], want[path]) for path in want if not close(path)]

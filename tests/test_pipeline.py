@@ -1,11 +1,14 @@
 import csv
 import gc
 import json
+import math
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -280,6 +283,40 @@ class TestForward:
             pipeline.run_forward(manifest, c, cfg)
         for p1 in sorted(c1.glob("*.hrep")):
             assert p1.read_bytes() == (c2 / p1.name).read_bytes()
+
+    def test_a_killed_forward_reruns_to_a_clean_runs_bytes(self, dataset, tmp_path):
+        # a forward SIGKILLed after writing a temporary file, before renaming
+        # it, leaves that file behind; a rerun never reads it, writes only the
+        # files the killed run did not, and ends with a clean run's bytes
+        root, manifest = dataset
+        cfg = PipelineConfig()
+        want, clean = forward_files(manifest, tmp_path / "clean", cfg)
+        cache = tmp_path / "cache"
+        pipeline.run_featurize(manifest, cache, cfg)
+        kill_at = len(want) // 2 + 1  # a dec file, with files of every level left to write
+        code = ("import os, signal, sys\n"
+                "from hirsim import pipeline\n"
+                "renames, rename = [], os.replace\n"
+                "def replace(src, dst):\n"
+                "    renames.append(dst)\n"
+                "    if len(renames) == int(sys.argv[3]):\n"
+                "        os.kill(os.getpid(), signal.SIGKILL)\n"
+                "    rename(src, dst)\n"
+                "os.replace = replace\n"
+                "pipeline.run_forward(sys.argv[1], sys.argv[2], pipeline.PipelineConfig())\n")
+        src = str(Path(pipeline.__file__).parents[1])
+        run = subprocess.run([sys.executable, "-c", code, str(manifest), str(cache), str(kill_at)],
+                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == -signal.SIGKILL, run.stderr
+        [tmp] = cache.glob("*.tmp")
+        assert tmp.name.rsplit(".", 2)[0] in want and tmp.stat().st_size > 0
+        tmp.write_bytes(b"garbage")
+        result = pipeline.run_forward(manifest, cache, cfg)
+        assert (clean.written, result.failures) == (len(want), [])
+        assert (result.written, result.skipped) == (len(want) - kill_at + 1, kill_at - 1)
+        assert {p.name: p.read_bytes() for p in cache.glob("*.hrep")
+                if not p.name.endswith(".input.hrep")} == want
+        assert tmp.read_bytes() == b"garbage"
 
     def test_level_filter(self, dataset, tmp_path):
         root, manifest = dataset
@@ -1213,6 +1250,14 @@ class TestCli:
             cli.EXIT_INTERNAL
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
+    def test_every_hirsim_error_class_is_a_value_error(self):
+        # so bad input is an OSError or a ValueError, whichever module raised it
+        for module in (asr, calib, feats, pipeline, reps, sim):
+            errors = [c for c in vars(module).values() if isinstance(c, type)
+                      and issubclass(c, BaseException) and c.__module__ == module.__name__]
+            assert errors and all(issubclass(c, ValueError) for c in errors), module.__name__
+        assert pipeline.DATA_ERRORS == (OSError, ValueError)
+
     def test_forward_before_featurize_names_the_missing_input(self, tmp_path, capsys):
         m = self_manifest(tmp_path / "d")
         rc = cli.main(["--manifest", str(m), "--cache-dir", str(tmp_path / "c"), "forward"])
@@ -1514,6 +1559,28 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_DATA
         assert capsys.readouterr().err == (
             f"data error: {kind} {path} holds an integer beyond float range\n")
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e308])
+    def test_fit_on_huge_raw_scores(self, tmp_path, capsys, scale):
+        # the fit runs on the scores divided by a power of two, so its
+        # slope is the unscaled one divided by `scale`
+        m = self_manifest(tmp_path / "d", n=1)
+        (entry,) = json.loads(m.read_text())
+        raw = (1.0, -1.0, 1.5)
+        m.write_text(json.dumps([dict(entry, signal_id=f"s{i}", correctness=wcs, split="dev")
+                                 for i, wcs in enumerate((0.1, 0.5, 0.9))]))
+        scores = write_scores(tmp_path / "s.csv", [(f"s{i}", "L0", repr(scale * x))
+                                                   for i, x in enumerate(raw)])
+        params = tmp_path / "p.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["--manifest", str(m), "fit", "--scores", str(scores),
+                           "--params", str(params)])
+        assert rc == cli.EXIT_OK, capsys.readouterr().err
+        fitted = json.loads(params.read_text())
+        assert math.isclose(fitted["a"] * scale, -8.78889544126910, rel_tol=1e-9)
+        assert math.isclose(fitted["b"], 10.9861192219181, rel_tol=1e-9)
+        assert math.isclose(fitted["fit_rmse"], 0.5 / math.sqrt(3.0), rel_tol=1e-6)
 
     def test_config_value_types(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
