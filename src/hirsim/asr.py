@@ -133,11 +133,11 @@ def multi_head_attention(X_q, X_kv, params: AttentionParams, mask=None) -> np.nd
     return attend(X_q, project_kv(X_kv, params), params, mask)
 
 
-def layer_norm(X, eps: float = 1e-12) -> np.ndarray:
+def layer_norm(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     mean = X.mean(axis=-1, keepdims=True)
     var = X.var(axis=-1, keepdims=True)
-    return (X - mean) / np.sqrt(var + eps)
+    return (X - mean) / np.sqrt(var + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,6 @@ class ToyAsr:
 
     def __init__(self, cfg: ToyAsrConfig, n_input_bands: int):
         self.cfg = cfg
-        self.n_bands = n_input_bands
         tag = cfg.seed_tag
         k = self.PRENET_KERNEL
         self.conv = []

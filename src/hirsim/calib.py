@@ -58,6 +58,22 @@ def _paired(pred, truth, min_n: int) -> tuple[np.ndarray, np.ndarray]:
     return p, t
 
 
+def _exponent(*xs: np.ndarray) -> int:
+    """The e for which the arrays times 2^-e have their largest magnitude in
+    [2^-64, 2^64): 0 where they have already, or where all are zeros. Below
+    that band a square may underflow, beyond it a sum of squares overflow."""
+    e = math.frexp(max(np.abs(x).max() for x in xs))[1]  # the largest is in [2^(e-1), 2^e)
+    return max(e - 64, 0) + min(e + 63, 0)
+
+
+def _ldexp(m: float, e: int, what: str) -> float:
+    """m * 2^e; a MetricError naming `what` where that is beyond float range."""
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        raise MetricError(f"{what} is beyond float range") from None
+
+
 def _mse(ab: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((expit(-(ab[0] * x + ab[1])) - y) ** 2))
 
@@ -143,8 +159,7 @@ def _trust_step(f: float, g: float, h: float, c0: float, c1: float,
             lam * norm * norm * cmax * cmax)
 
 
-def _levenberg_marquardt(x: np.ndarray, y: np.ndarray, ab,
-                         tol: float = 1e-15, max_evals: int = 1000) -> tuple[float, float]:
+def _levenberg_marquardt(x: np.ndarray, y: np.ndarray, ab) -> tuple[float, float]:
     """(a, b) from `ab` downhill to a local minimum of |r|^2, r = expit(-(a x + b)) - y.
 
     More's trust-region Levenberg-Marquardt ("The Levenberg-Marquardt
@@ -159,7 +174,7 @@ def _levenberg_marquardt(x: np.ndarray, y: np.ndarray, ab,
     differ in their eighth digit still separate. Stops when the cosine
     between r and each column of J, the trust radius relative to |D (a, b)|,
     or both the actual and the predicted relative reduction of |r|^2 fall to
-    `tol`.
+    1e-15, or after 1000 evaluations of r.
     """
     def residual(a, b):
         f = expit(-(a * x + b))
@@ -186,7 +201,7 @@ def _levenberg_marquardt(x: np.ndarray, y: np.ndarray, ab,
             delta = 100.0 * (math.hypot(d[0] * a, d[1] * b) or 1.0)
         d = [max(di, n) for di, n in zip(d, norms)]
         gradient = (r00 * c0, r01 * c0 + r11 * c1)
-        if cost == 0.0 or all(abs(gj) <= tol * n * math.sqrt(cost)
+        if cost == 0.0 or all(abs(gj) <= 1e-15 * n * math.sqrt(cost)
                               for gj, n in zip(gradient, norms)):
             return a, b
         while True:
@@ -201,7 +216,7 @@ def _levenberg_marquardt(x: np.ndarray, y: np.ndarray, ab,
             actual = cost - new_cost
             predicted = model + 2.0 * damping
             ratio = actual / predicted if predicted else 0.0
-            converged = abs(actual) <= tol * cost and predicted <= tol * cost and ratio <= 2.0
+            converged = abs(actual) <= 1e-15 * cost and predicted <= 1e-15 * cost and ratio <= 2.0
             if ratio <= 0.25:
                 shrink = 0.5 if actual >= 0 else 0.5 * (model + damping) / (
                     model + damping - 0.5 * actual)
@@ -211,8 +226,8 @@ def _levenberg_marquardt(x: np.ndarray, y: np.ndarray, ab,
                 delta = 2.0 * pnorm
             if ratio >= 1e-4:
                 a, b, f, r, cost, first = a + p0 / d[0], b + p1 / d[1], new_f, new_r, new_cost, False
-            if (converged or evals >= max_evals
-                    or delta <= tol * math.hypot(d[0] * a, d[1] * b)):
+            if (converged or evals >= 1000
+                    or delta <= 1e-15 * math.hypot(d[0] * a, d[1] * b)):
                 return a, b
             if ratio >= 1e-4:
                 break
@@ -225,13 +240,14 @@ def fit_logistic(pairs) -> LogisticParams:
     start and keeps the best fit, the earliest on a tie: the closed form, a
     linear least-squares fit of -logit(wcs) (clipped away from 0 and 1) on
     [raw_score, 1], then the starts of a coarse grid, which catch the steep
-    local minima of small noisy or binary sets. Raw scores beyond 2^64 in
-    magnitude are fitted divided by the power of two 2^e that brings them
-    below it, and a is divided by 2^e after, so no sum of squares overflows.
+    local minima of small noisy or binary sets. Raw scores whose largest
+    magnitude is outside [2^-64, 2^64) are fitted divided by the power of two
+    2^e that brings it inside, and a is divided by 2^e after, so no square
+    overflows or underflows; a slope beyond float range is a MetricError.
     """
     pairs = list(pairs)
     x, y = _paired([p[0] for p in pairs], [p[1] for p in pairs], 3)
-    e = max(math.frexp(np.abs(x).max())[1] - 64, 0)
+    e = _exponent(x)
     x = np.ldexp(x, -e)
     if np.ptp(x) == 0.0:
         raise MetricError("raw scores are all identical; fit is degenerate")
@@ -241,17 +257,27 @@ def fit_logistic(pairs) -> LogisticParams:
     fits = [_levenberg_marquardt(x, y, start)
             for start in (np.linalg.lstsq(X, z, rcond=None)[0], *_grid_starts(x, y, z))]
     a, b = min(fits, key=lambda ab: _mse(ab, x, y))
-    return LogisticParams(a=math.ldexp(a, -e), b=float(b))
+    return LogisticParams(a=_ldexp(a, -e, "the logistic slope"), b=float(b))
 
 
 def rmse(pred, truth) -> float:
+    """Root mean squared error, for any finite input: pred and truth are
+    subtracted at the power-of-two scale _exponent gives them, so that no
+    difference overflows, and the differences squared at their own. Ordinary
+    inputs are at scale 1 and keep every bit."""
     p, t = _paired(pred, truth, 1)
-    return float(np.sqrt(np.mean((p - t) ** 2)))
+    e = _exponent(p, t)
+    d = np.ldexp(p, -e) - np.ldexp(t, -e)
+    f = _exponent(d)
+    return _ldexp(float(np.sqrt(np.mean(np.ldexp(d, -f) ** 2))), e + f, "rmse")
 
 
 def ncc(pred, truth) -> float:
-    """Pearson correlation coefficient."""
+    """Pearson correlation coefficient, for any finite input: each side is
+    taken at the power-of-two scale _exponent gives it, which the coefficient
+    does not depend on. Ordinary inputs are at scale 1 and keep every bit."""
     p, t = _paired(pred, truth, 2)
+    p, t = np.ldexp(p, -_exponent(p)), np.ldexp(t, -_exponent(t))
     dp = p - p.mean()
     dt = t - t.mean()
     denom = np.sqrt((dp ** 2).sum()) * np.sqrt((dt ** 2).sum())

@@ -14,6 +14,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import itertools
 import math
 import typing
 from dataclasses import dataclass, field
@@ -406,7 +407,8 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
 def read_scores(scores_path) -> list[dict]:
     try:
         with Path(scores_path).open(newline="") as f:
-            reader = csv.DictReader(ln for ln in f if not ln.startswith("#"))
+            # the benchmark's generated scores files open with a `# generated` line
+            reader = csv.DictReader(itertools.dropwhile(lambda ln: ln.startswith("#"), f))
             missing = [k for k in SCORE_FIELDS if k not in (reader.fieldnames or ())]
             if missing:
                 raise reps.FormatError(f"{scores_path}: no {missing[0]!r} column")

@@ -239,7 +239,7 @@ def matches(value, hint) -> bool:
     if typing.get_origin(hint) is tuple:  # tuple[X, ...]
         return isinstance(value, list) and all(matches(v, typing.get_args(hint)[0])
                                                for v in value)
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+    if isinstance(hint, types.UnionType):  # X | Y
         return any(matches(value, h) for h in typing.get_args(hint))
     return isinstance(value, hint)
 

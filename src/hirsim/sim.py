@@ -148,7 +148,6 @@ def _dtw_window(A: np.ndarray, B: np.ndarray, allowed: np.ndarray | None) -> tup
     V, zero = _cosine_rows(A[:, None], B[None])
     C = 1.0 - V
     D = np.full((t1, t2), np.inf)
-    came_from = {}
     for i in range(t1):
         for j in range(t2):
             if allowed is not None and not allowed[i, j]:
@@ -156,13 +155,14 @@ def _dtw_window(A: np.ndarray, B: np.ndarray, allowed: np.ndarray | None) -> tup
             best = 0.0 if i == j == 0 else np.inf
             for di, dj in _STEPS:
                 if i >= di and j >= dj and (d := D[i - di, j - dj]) < best:
-                    best, came_from[i, j] = d, (i - di, j - dj)
+                    best = d
             D[i, j] = C[i, j] + best
     if not np.isfinite(D[t1 - 1, t2 - 1]):
         raise SimilarityError("DTW window disconnects the endpoints")
     pairs = [(t1 - 1, t2 - 1)]
-    while pairs[-1] != (0, 0):
-        pairs.append(came_from[pairs[-1]])
+    while (cell := pairs[-1]) != (0, 0):  # back to the cell's predecessor, read from D
+        pairs.append(min(((cell[0] - di, cell[1] - dj) for di, dj in _STEPS
+                          if cell[0] >= di and cell[1] >= dj), key=D.__getitem__))
     return WarpPath(pairs=tuple(reversed(pairs))), V, zero
 
 

@@ -24,7 +24,11 @@ bytes as the first run, from the scores that run stored in the cache.
 Then eval reads a params file whose `a` is a string, fit a scores file
 with a field over the csv module's size limit, and featurize a manifest with
 a correctness of 1 followed by 400 zeros, an integer no float can hold; each
-must exit 2, a data error, not 3. Last, featurize and forward run on a
+must exit 2, a data error, not 3. Then fit and eval run, with RuntimeWarnings
+as errors, on three dev and three eval trials whose raw scores are 1, 1e-200,
+1e160 and 1e308 times fixed ones; each must exit 0, and each fit's slope
+times the scale and its offset must equal those of the scores at scale 1 to
+12 digits. Last, featurize and forward run on a
 second manifest whose clips alternate between 10 and 11 encoder frames, so
 forward flushes its chunk and decode stack when the length changes; every
 pre, enc and dec .hrep it writes must again equal `asr.toy_forward` on its
@@ -38,8 +42,10 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 import tempfile
+import warnings
 import wave
 from pathlib import Path
 
@@ -158,6 +164,38 @@ def scores_differ(manifest: Path, cache: Path, scores: Path, level: str) -> list
     return [key for key in want if got.get(key) != want[key]]
 
 
+def magnitude_fits(root: Path) -> str | None:
+    """fit and eval on raw scores at four scales; what went wrong, or None."""
+    root.mkdir()
+    entry = {"listener_id": "L0", "system_id": "S0", "ref_left": "r.wav", "ref_right": "r.wav",
+             "proc_left": "p.wav", "proc_right": "p.wav"}
+    manifest = root / "manifest.json"
+    manifest.write_text(json.dumps([
+        {**entry, "signal_id": f"m{i}", "correctness": wcs, "split": "dev" if i < 3 else "eval"}
+        for i, wcs in enumerate((0.1, 0.5, 0.9, 0.3, 0.6, 0.8))]))
+    fits = {}
+    for scale in (1.0, 1e-200, 1e160, 1e308):
+        scores, params = root / f"scores_{scale}.csv", root / f"params_{scale}.json"
+        with scores.open("w", newline="") as f:
+            csv.writer(f).writerows([pipeline.SCORE_FIELDS] + [
+                (f"m{i}", "L0", "S0", "enc", repr(scale * x), 0)
+                for i, x in enumerate((1.0, -1.0, 1.5, 0.5, -0.5, 1.75))])
+        for argv in (["fit", "--scores", str(scores), "--params", str(params)],
+                     ["eval", "--scores", str(scores), "--params", str(params),
+                      "--out-dir", str(root / f"out_{scale}")]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rc = cli.main(["--manifest", str(manifest)] + argv)
+            if rc != cli.EXIT_OK:
+                return f"hirsim {argv[0]} on raw scores times {scale} exited {rc}"
+        fit = json.loads(params.read_text())
+        fits[scale] = (fit["a"] * scale, fit["b"])
+    for scale, fit in fits.items():
+        if not all(math.isclose(v, w, rel_tol=1e-12) for v, w in zip(fit, fits[1.0])):
+            return f"fit on raw scores times {scale}: {fit} is not {fits[1.0]}"
+    return None
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -236,6 +274,10 @@ def main() -> int:
             if rc != cli.EXIT_DATA:
                 print(f"hirsim {' '.join(argv)} exited {rc}, not {cli.EXIT_DATA}", file=sys.stderr)
                 return 1
+        problem = magnitude_fits(root / "magnitude")
+        if problem:
+            print(problem, file=sys.stderr)
+            return 1
         cache = root / "cache_interleaved"
         mixed = ["--manifest", str(build_interleaved(root / "interleaved")),
                  "--cache-dir", str(cache)]

@@ -3,7 +3,6 @@ PASS/FAIL line. Run with `pytest tests/test_acceptance.py -v -s`."""
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,12 +259,7 @@ def test_criterion_12_pipeline_determinism(smoke_run):
     manifest, run = smoke_run
     out_a = run("a")  # cached from criterion 10 if it ran first
     out_b = run("b")  # fresh cache, fresh outputs
-
-    def score_body(p):
-        return "".join(ln for ln in Path(p).read_text().splitlines(keepends=True)
-                       if not ln.startswith("#"))
-
-    same_scores = score_body(out_a / "scores.csv") == score_body(out_b / "scores.csv")
+    same_scores = (out_a / "scores.csv").read_bytes() == (out_b / "scores.csv").read_bytes()
     same_report = (out_a / "report.json").read_bytes() == \
         (out_b / "report.json").read_bytes()
     _report(12, "two full runs: identical scores.csv and report.json",

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -193,6 +194,11 @@ class TestFitLogistic:
         with pytest.raises(MetricError):
             fit_logistic([(0.1, 0.2), (0.5, 0.4)])
 
+    def test_slope_beyond_float_range(self):
+        # the steepest slope subnormal scores fit is about 1e310
+        with pytest.raises(MetricError, match="^the logistic slope is beyond float range$"):
+            fit_logistic([(1e-310, 0.1), (-1e-310, 0.5), (1.5e-310, 0.9)])
+
     def test_non_inferior_to_probe_parameters(self):
         rng = np.random.default_rng(11)
         xs = rng.uniform(0, 1, 60)
@@ -273,6 +279,24 @@ class TestRmse:
         with pytest.raises(MetricError):
             rmse([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("k", [-1070, -1000, -600, 600, 1000])
+    def test_power_of_two_scales_exactly(self, rng, k):
+        # 2^-1070 makes subnormal inputs; the scale is 2^1000 at most, so a
+        # difference of two values of either sign may pass 2^1023
+        x, y = np.ldexp(rng.normal(size=40), 20), np.ldexp(rng.normal(size=40), 20)
+        if k < -1022:
+            x, y = x.round(), y.round()  # integers below 2^24, so subnormals hold them
+        assert rmse(np.ldexp(x, k), np.ldexp(y, k)) == math.ldexp(rmse(x, y), k)
+
+    def test_square_of_a_tiny_difference_does_not_underflow(self):
+        # 2^-600 squared is below the smallest float
+        assert rmse([1.0, 2.0 ** -600], [1.0, 0.0]) == math.ldexp(math.sqrt(0.5), -600)
+
+    def test_beyond_float_range(self):
+        assert rmse([1.5e308, -1.5e308], [0.0, 0.0]) == 1.5e308
+        with pytest.raises(MetricError, match="^rmse is beyond float range$"):
+            rmse([1.5e308], [-1.5e308])
+
 
 class TestNcc:
     def test_perfect_correlation(self, rng):
@@ -301,6 +325,12 @@ class TestNcc:
     def test_zero_variance(self):
         with pytest.raises(MetricError):
             ncc([1.0, 1.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("kx, ky", [(-1070, 1000), (-1000, -600), (600, -1070), (1000, 1000)])
+    def test_power_of_two_scales_change_no_bit(self, rng, kx, ky):
+        # integers below 2^20, so that subnormals at 2^-1070 hold them
+        x, y = rng.integers(-2 ** 20, 2 ** 20, size=(2, 40)).astype(np.float64)
+        assert ncc(np.ldexp(x, kx), np.ldexp(y, ky)) == ncc(x, y)
 
 
 class TestKendallTau:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import json
@@ -264,6 +265,25 @@ def interleaved_length_manifests(root):
     return mixed, by_length
 
 
+def kill_at_rename(n, call, *args):
+    """Run `call`, a statement of `pipeline` calls on sys.argv[1:], in a
+    subprocess that SIGKILLs itself at its n-th os.replace, after the
+    temporary file is written and before it is renamed."""
+    code = ("import os, signal, sys\n"
+            "from hirsim import pipeline\n"
+            "renames, rename = [], os.replace\n"
+            "def replace(src, dst):\n"
+            "    renames.append(dst)\n"
+            f"    if len(renames) == {n}:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    rename(src, dst)\n"
+            f"os.replace = replace\n{call}\n")
+    src = str(Path(pipeline.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == -signal.SIGKILL, run.stderr
+
+
 def forward_files(manifest, cache, cfg):
     """Featurize and forward `manifest` into `cache`; returns the bytes of each
     model-level .hrep by name, and forward's StageResult."""
@@ -294,20 +314,8 @@ class TestForward:
         cache = tmp_path / "cache"
         pipeline.run_featurize(manifest, cache, cfg)
         kill_at = len(want) // 2 + 1  # a dec file, with files of every level left to write
-        code = ("import os, signal, sys\n"
-                "from hirsim import pipeline\n"
-                "renames, rename = [], os.replace\n"
-                "def replace(src, dst):\n"
-                "    renames.append(dst)\n"
-                "    if len(renames) == int(sys.argv[3]):\n"
-                "        os.kill(os.getpid(), signal.SIGKILL)\n"
-                "    rename(src, dst)\n"
-                "os.replace = replace\n"
-                "pipeline.run_forward(sys.argv[1], sys.argv[2], pipeline.PipelineConfig())\n")
-        src = str(Path(pipeline.__file__).parents[1])
-        run = subprocess.run([sys.executable, "-c", code, str(manifest), str(cache), str(kill_at)],
-                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-        assert run.returncode == -signal.SIGKILL, run.stderr
+        kill_at_rename(kill_at, "pipeline.run_forward(*sys.argv[1:], pipeline.PipelineConfig())",
+                       manifest, cache)
         [tmp] = cache.glob("*.tmp")
         assert tmp.name.rsplit(".", 2)[0] in want and tmp.stat().st_size > 0
         tmp.write_bytes(b"garbage")
@@ -617,6 +625,26 @@ def counted_sim(monkeypatch, m, cache, scores, cfg):
     return res, calls["read"], calls["scored"]
 
 
+@contextlib.contextmanager
+def opened_paths(monkeypatch):
+    """The list of paths opened with open() or Path.open inside the block."""
+    opened = []
+    real_open, real_path_open = open, Path.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(Path(file))
+        return real_open(file, *args, **kwargs)
+
+    def path_spy(self, *args, **kwargs):
+        opened.append(self)
+        return real_path_open(self, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr("builtins.open", spy)
+        mp.setattr(Path, "open", path_spy)
+        yield opened
+
+
 def first_pair(pair):
     """A corruption of a score store: its first pair replaced by `pair`."""
     return lambda store: {**store, "scores": [pair, *store["scores"][1:]]}
@@ -749,20 +777,7 @@ class TestScoreStore:
         pairs = np.array([(0.25, 0)] * 3, dtype=[("value", "<f8"), ("zero_norm_frames", "<i8")])
         old.write_bytes(b"HSIM" + struct.pack("<BBHI", 1, 2, 0, 3) + pairs.tobytes())
         store.unlink()
-        opened = []
-        real_open, real_path_open = open, Path.open
-
-        def spy(file, *args, **kwargs):
-            opened.append(Path(file))
-            return real_open(file, *args, **kwargs)
-
-        def path_spy(self, *args, **kwargs):
-            opened.append(self)
-            return real_path_open(self, *args, **kwargs)
-
-        with monkeypatch.context() as mp:
-            mp.setattr("builtins.open", spy)
-            mp.setattr(Path, "open", path_spy)
+        with opened_paths(monkeypatch) as opened:
             assert cli.main(base) == cli.EXIT_OK
         # the sources' .hrep files were read, the old store was not
         assert any(p.suffix == ".hrep" for p in opened) and old not in opened
@@ -786,8 +801,59 @@ class TestScoreStore:
         assert list(out.iterdir()) == [scores]
         assert scores.read_text() == "old\n"
 
+    @pytest.mark.parametrize("kill_at", [1, 2], ids=["store", "scores"])
+    def test_a_killed_sim_reruns_to_a_clean_runs_bytes(self, filled, tmp_path, monkeypatch,
+                                                       kill_at):
+        # sim renames its score store into place, then scores.csv; SIGKILLed
+        # before either rename, it leaves that file's temporary behind. A rerun
+        # never opens it and ends with a clean run's bytes, and once the store
+        # is in place it scores nothing
+        m, cache = filled
+        cfg = PipelineConfig(level="dec")
+        pipeline.run_sim(m, cache, tmp_path / "clean.csv", cfg)
+        [store] = cache.glob("*.sim.json")
+        want = store.read_bytes()
+        store.unlink()
+        scores = tmp_path / "out" / "scores.csv"
+        kill_at_rename(kill_at, "pipeline.run_sim(*sys.argv[1:], "
+                                "pipeline.PipelineConfig(level='dec'))", m, cache, scores)
+        [tmp] = tmp_path.rglob("*.tmp")
+        assert tmp.name.rsplit(".", 2)[0] == (store, scores)[kill_at - 1].name
+        assert store.exists() == (kill_at == 2) and not scores.exists()
+        tmp.write_bytes(b"garbage")
+        with opened_paths(monkeypatch) as opened:
+            res, n_read, n_scored = counted_sim(monkeypatch, m, cache, scores, cfg)
+        assert tmp not in opened and tmp.read_bytes() == b"garbage"
+        assert (res.written, res.failures) == (3, [])
+        assert (res.skipped, n_read, n_scored) == ((0, 6, 3) if kill_at == 1 else (3, 0, 0))
+        assert store.read_bytes() == want
+        assert scores.read_bytes() == (tmp_path / "clean.csv").read_bytes()
+
 
 class TestSimFitEval:
+    def test_a_signal_id_starting_with_a_hash_is_fitted_and_evaluated(self, dataset, tmp_path):
+        # no line after the header of scores.csv is a comment, so a trial
+        # named "#..." counts
+        root, manifest = dataset
+        entries = json.loads(manifest.read_text())
+        for e in entries:
+            e.update({k: str(root / e[k]) for k in ("ref_left", "ref_right", "proc_left",
+                                                   "proc_right")})
+        dev = [e for e in entries if e["split"] == "dev"]
+        ev = [e for e in entries if e["split"] == "eval"]
+        dev[0]["signal_id"], ev[0]["signal_id"] = "#dev", "#eval"
+        m = tmp_path / "manifest.json"
+        m.write_text(json.dumps(entries))
+        cache, scores, params = tmp_path / "cache", tmp_path / "scores.csv", tmp_path / "p.json"
+        cfg = PipelineConfig(level="input")
+        pipeline.run_featurize(m, cache, cfg)
+        assert pipeline.run_sim(m, cache, scores, cfg).written == len(entries)
+        assert scores.read_text().count("\n#") == 2
+        pipeline.run_fit(scores, m, params, cfg)
+        report = pipeline.run_eval(scores, m, params, tmp_path / "out", cfg)
+        assert json.loads(params.read_text())["n_dev"] == len(dev)
+        assert report["trial"]["n_trials"] == len(ev)
+
     def test_identical_signals_score_one(self, tmp_path):
         m = self_manifest(tmp_path / "d")
         cache = tmp_path / "cache"
@@ -1150,6 +1216,18 @@ class TestSimFitEval:
                          "--params", str(tmp_path / "p.json")]) == cli.EXIT_DATA
         assert capsys.readouterr().err == (
             f"data error: {big}: field larger than field limit ({csv.field_size_limit()})\n")
+
+    def test_only_lines_before_the_header_are_comments(self, eval_run, tmp_path, capsys):
+        # after the header a `#` line is a row, and this one lacks fields
+        manifest, scores, _, _ = eval_run
+        header, *rows = Path(scores).read_text().splitlines(keepends=True)
+        leading, inner = tmp_path / "leading.csv", tmp_path / "inner.csv"
+        leading.write_text("# generated\n" + header + "".join(rows))
+        inner.write_text(header + "# generated\n" + "".join(rows))
+        assert pipeline.read_scores(leading) == pipeline.read_scores(scores)
+        assert cli.main(["--manifest", str(manifest), "fit", "--scores", str(inner),
+                         "--params", str(tmp_path / "p.json")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {inner}: score row 0: ")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("stage", ["fit", "eval"])
@@ -1560,27 +1638,65 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"data error: {kind} {path} holds an integer beyond float range\n")
 
-    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e308])
-    def test_fit_on_huge_raw_scores(self, tmp_path, capsys, scale):
-        # the fit runs on the scores divided by a power of two, so its
-        # slope is the unscaled one divided by `scale`
+    # three dev trials, then three eval trials; 1.75, since 2e308 is not a float
+    MAGNITUDE_RAW = (1.0, -1.0, 1.5, 0.5, -0.5, 1.75)
+    MAGNITUDE_WCS = (0.1, 0.5, 0.9, 0.3, 0.6, 0.8)
+
+    def fit_and_eval(self, tmp_path, scale):
+        """`fit` then `eval`, warnings as errors, on trials whose raw scores
+        are `scale` times MAGNITUDE_RAW; returns both exit codes and the strict
+        JSON of the params and the report, or None for a file not written."""
         m = self_manifest(tmp_path / "d", n=1)
         (entry,) = json.loads(m.read_text())
-        raw = (1.0, -1.0, 1.5)
-        m.write_text(json.dumps([dict(entry, signal_id=f"s{i}", correctness=wcs, split="dev")
-                                 for i, wcs in enumerate((0.1, 0.5, 0.9))]))
+        m.write_text(json.dumps([
+            dict(entry, signal_id=f"s{i}", correctness=wcs, split="dev" if i < 3 else "eval")
+            for i, wcs in enumerate(self.MAGNITUDE_WCS)]))
         scores = write_scores(tmp_path / "s.csv", [(f"s{i}", "L0", repr(scale * x))
-                                                   for i, x in enumerate(raw)])
-        params = tmp_path / "p.json"
+                                                   for i, x in enumerate(self.MAGNITUDE_RAW)])
+        params, out = tmp_path / "p.json", tmp_path / "out"
+        base = ["--manifest", str(m)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rc = cli.main(["--manifest", str(m), "fit", "--scores", str(scores),
-                           "--params", str(params)])
-        assert rc == cli.EXIT_OK, capsys.readouterr().err
-        fitted = json.loads(params.read_text())
-        assert math.isclose(fitted["a"] * scale, -8.78889544126910, rel_tol=1e-9)
-        assert math.isclose(fitted["b"], 10.9861192219181, rel_tol=1e-9)
-        assert math.isclose(fitted["fit_rmse"], 0.5 / math.sqrt(3.0), rel_tol=1e-6)
+            codes = (cli.main(base + ["fit", "--scores", str(scores), "--params", str(params)]),
+                     cli.main(base + ["eval", "--scores", str(scores), "--params", str(params),
+                                      "--out-dir", str(out)]))
+
+        def strict(path):
+            def reject(name):
+                raise ValueError(f"{path}: {name} is not JSON")
+            return json.loads(path.read_text(), parse_constant=reject) if path.is_file() else None
+        return codes, strict(params), strict(out / "report.json")
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e308])
+    def test_fit_on_huge_raw_scores(self, tmp_path, capsys, scale):
+        # fit and eval take the scores at a power of two that brings them
+        # within 2^64, so the slope is the unscaled one divided by `scale`
+        codes, params, report = self.fit_and_eval(tmp_path, scale)
+        assert codes == (cli.EXIT_OK, cli.EXIT_OK), capsys.readouterr().err
+        assert math.isclose(params["a"] * scale, -8.78889544126910, rel_tol=1e-9)
+        assert math.isclose(params["b"], 10.9861192219181, rel_tol=1e-9)
+        assert math.isclose(params["fit_rmse"], 0.5 / math.sqrt(3.0), rel_tol=1e-6)
+        ev = list(zip(self.MAGNITUDE_RAW, self.MAGNITUDE_WCS))[3:]
+        rmse = math.sqrt(sum((x - wcs / scale) ** 2 for x, wcs in ev) / 3)
+        assert math.isclose(report["trial_raw"]["rmse"] / scale, rmse, rel_tol=1e-12)
+        assert math.isclose(report["trial_raw"]["ncc"], 0.45529195897068, rel_tol=1e-12)
+
+    def test_fit_on_tiny_raw_scores(self, tmp_path, capsys):
+        # scores below 2^-64 are fitted at a power of two that brings them above it
+        codes, params, report = self.fit_and_eval(tmp_path / "tiny", 1e-200)
+        assert codes == (cli.EXIT_OK, cli.EXIT_OK), capsys.readouterr().err
+        _, unscaled, want = self.fit_and_eval(tmp_path / "unscaled", 1.0)
+        assert math.isclose(params["a"] * 1e-200, unscaled["a"], rel_tol=1e-12)
+        assert math.isclose(params["b"], unscaled["b"], rel_tol=1e-12)
+        assert math.isclose(report["trial_raw"]["ncc"], want["trial_raw"]["ncc"], rel_tol=1e-12)
+        assert math.isclose(report["trial"]["rmse"], want["trial"]["rmse"], rel_tol=1e-12)
+
+    def test_fit_refuses_a_slope_beyond_float_range(self, tmp_path, capsys):
+        # the slope that scores of about 1e-310 need is about 1e310
+        codes, params, _ = self.fit_and_eval(tmp_path, 1e-310)
+        assert (codes[0], params) == (cli.EXIT_DATA, None)
+        assert capsys.readouterr().err.startswith(
+            "data error: the logistic slope is beyond float range\n")
 
     def test_config_value_types(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
