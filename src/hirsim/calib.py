@@ -317,8 +317,8 @@ def _inversions(r: np.ndarray) -> int:
     return swaps
 
 
-def kendall_tau(pred, truth, variant: str = "b") -> float:
-    """Kendall rank correlation; tau-b corrects for ties, tau-a does not.
+def kendall_tau(pred, truth) -> float:
+    """Kendall rank correlation tau-b, which corrects for ties.
 
     Knight's O(n log n) algorithm (JASA 61(314), 1966) with exact integer
     pair counts: sort by (pred, truth), count the ties from run lengths and
@@ -334,22 +334,15 @@ def kendall_tau(pred, truth, variant: str = "b") -> float:
     _, rank, counts = np.unique(t, return_inverse=True, return_counts=True)
     n2 = int((counts * (counts - 1) // 2).sum())
     C_minus_D = n0 - n1 - n2 + n3 - 2 * _inversions(rank)
-    if variant == "a":
-        return C_minus_D / n0
-    if variant != "b":
-        raise ValueError(f"unknown tau variant {variant!r}")
     denom_sq = (n0 - n1) * (n0 - n2)
     if denom_sq == 0:
         raise MetricError("all pairs tied in pred or truth")
     return C_minus_D / np.sqrt(float(denom_sq))
 
 
-def metrics(pred, truth, kt_scores=None) -> dict:
-    """RMSE, NCC and Kendall's tau of pred against truth; tau is taken on
-    kt_scores when given (raw similarities: tau is invariant to the monotone
-    logistic map, so taking it on raw scores is a presentation choice)."""
-    return {"rmse": rmse(pred, truth), "ncc": ncc(pred, truth),
-            "kt": kendall_tau(pred if kt_scores is None else kt_scores, truth)}
+def metrics(pred, truth) -> dict:
+    """RMSE, NCC and Kendall's tau of pred against truth."""
+    return {"rmse": rmse(pred, truth), "ncc": ncc(pred, truth), "kt": kendall_tau(pred, truth)}
 
 
 def _stderr(vals: np.ndarray) -> float:

@@ -133,7 +133,7 @@ def _print_report(report: dict, source) -> None:
         for k in ("rmse", "ncc", "kt"):
             if not reps.matches(m[k], float | None):
                 raise reps.FormatError(f"{where}: {k!r} must be a number or null")
-            shown.append(f"{k.upper()} {float('nan') if m[k] is None else m[k]:.4f}")
+            shown.append(f"{k.upper()} {float('nan') if m[k] is None else m[k]:#.4g}")
         print(f"{section:>10}: " + "  ".join(shown))
 
 

@@ -113,12 +113,13 @@ def _sources(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig
 
     `sources` lists (first trial's signal_id, keys, path, channel) once per
     distinct (file digest, channel), and once per unreadable source file,
-    whose keys are the OSError that reading it raised. The keys are the input
-    key, sha256(sha256(file bytes) || repr(cfg.feat) || channel), and the
-    model levels' key, sha256(input key || repr(cfg.asr)). Each manifest name
-    is resolved and its file hashed once, so a file named two ways (`a.wav`
-    and `./a.wav`) is read twice. `slots[i]` holds trial i's ref-left,
-    ref-right, proc-left and proc-right sources as indices into `sources`."""
+    whose keys are the OSError that reading it raised. The keys map each level
+    to its key: at input sha256(sha256(file bytes) || repr(cfg.feat) ||
+    channel), and at every model level sha256(input key || repr(cfg.asr)).
+    Each manifest name is resolved and its file hashed once, so a file named
+    two ways (`a.wav` and `./a.wav`) is read twice. `slots[i]` holds trial
+    i's ref-left, ref-right, proc-left and proc-right sources as indices into
+    `sources`."""
     feat, model = repr(cfg.feat).encode(), repr(cfg.asr).encode()
     files: dict[str, tuple] = {}  # name in the manifest -> (resolved path, digest or OSError)
     index: dict = {}  # (digest, channel), or an unreadable file's path -> index
@@ -138,21 +139,17 @@ def _sources(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig
             if at not in index:
                 index[at] = len(sources)
                 key = d if isinstance(d, OSError) else _hash(d, feat, channel.encode())
-                keys = key if isinstance(key, OSError) else (key, _hash(key.encode(), model))
+                keys = key if isinstance(key, OSError) else {
+                    "input": key, **dict.fromkeys(MODEL_LEVELS, _hash(key.encode(), model))}
                 sources.append((rec.signal_id, keys, path, channel))
             slot.append(index[at])
         slots.append(tuple(slot))
     return sources, slots
 
 
-def _level_key(keys: tuple[str, str], level: str) -> str:
-    """A source's key at `level`, from its (input key, model key)."""
-    return keys[0] if level == "input" else keys[1]
-
-
-def _rep_path(cache: Path, keys: tuple[str, str], level: str) -> Path:
-    """<cache>/<key>.<level>.hrep, for a source's (input key, model key)."""
-    return cache / f"{_level_key(keys, level)}.{level}.hrep"
+def _rep_path(cache: Path, keys: dict[str, str], level: str) -> Path:
+    """<cache>/<key>.<level>.hrep, for a source's keys by level."""
+    return cache / f"{keys[level]}.{level}.hrep"
 
 
 def _cached(cache: Path, source: tuple, level: str) -> Path:
@@ -191,10 +188,11 @@ def run_featurize(manifest_path, cache_dir, cfg: PipelineConfig) -> StageResult:
             # one read per file: a stereo WAV supplies both channels
             source = reps.read_reps(path) if path.suffix == ".hrep" else feats.read_wav(path)
             for keys, channel in todo:
-                data = (source.data if isinstance(source, reps.RepSequence) else
-                        feats.logmel(source.channel(channel), cfg.feat, source.sample_rate_hz).data)
-                reps.write_reps(reps.RepSequence(data, "input", channel, signal_id=""),
-                                _rep_path(cache, keys, "input"))
+                rep = (reps.RepSequence(source.data, "input", channel, signal_id="")
+                       if isinstance(source, reps.RepSequence) else
+                       feats.logmel(source.channel(channel), cfg.feat, source.sample_rate_hz,
+                                    channel=channel))
+                reps.write_reps(rep, _rep_path(cache, keys, "input"))
                 result.written += 1
     return result
 
@@ -322,7 +320,7 @@ def _score_store(cache: Path, sources: list, tuples: list, cfg: PipelineConfig):
     if any(isinstance(keys, OSError) for _, keys, _, _ in sources):
         return None
     radius = str(cfg.dtw_radius).encode() if cfg.level == "dec" else b""
-    key = _hash(*(_level_key(sources[i][1], cfg.level).encode() for t in tuples for i in t),
+    key = _hash(*(sources[i][1][cfg.level].encode() for t in tuples for i in t),
                 cfg.level.encode(), radius)
     return cache / f"{key}.{cfg.level}.sim.json"
 
@@ -428,8 +426,8 @@ def read_scores(scores_path) -> list[dict]:
 
 
 def _labelled(scores_path, manifest_path, cfg: PipelineConfig, splits) -> tuple:
-    """The manifest records and raw scores of the score rows in `splits`
-    whose correctness is known, the number of rows in `splits` whose
+    """The manifest records, raw scores and correctness of the score rows in
+    `splits` whose correctness is known, the number of rows in `splits` whose
     correctness is not (NaN), which carry nothing to fit or score against,
     and the level of the scores (None if there are no rows). A scores file
     holds one row per (signal_id, listener_id) and one level."""
@@ -440,7 +438,7 @@ def _labelled(scores_path, manifest_path, cfg: PipelineConfig, splits) -> tuple:
     if len(levels) > 1 or not levels <= set(reps.LEVELS):
         raise reps.FormatError(f"{scores_path}: score rows must share one level of "
                                f"{', '.join(reps.LEVELS)}; found {', '.join(sorted(levels))}")
-    labelled, raw, n_rows = [], [], 0
+    labelled, raw, truth, n_rows = [], [], [], 0
     for row in rows:
         key = (row["signal_id"], row["listener_id"])
         # each record joins one score row, so a repeated row finds its record gone
@@ -456,18 +454,29 @@ def _labelled(scores_path, manifest_path, cfg: PipelineConfig, splits) -> tuple:
             if math.isfinite(rec.correctness):
                 labelled.append(rec)
                 raw.append(row["raw_score"])
-    return labelled, np.array(raw), n_rows - len(labelled), next(iter(levels), None)
+                truth.append(rec.correctness)
+    return (labelled, np.array(raw), np.array(truth), n_rows - len(labelled),
+            next(iter(levels), None))
+
+
+@contextlib.contextmanager
+def _naming(scores_path):
+    """Prefix the path of the scores a metric error came from."""
+    try:
+        yield
+    except calib.MetricError as e:
+        raise calib.MetricError(f"{scores_path}: {e}") from e
 
 
 def run_fit(scores_path, manifest_path, params_path, cfg: PipelineConfig) -> calib.LogisticParams:
     """Fit the logistic mapping on the configured split; never reads eval WCS."""
     splits = FIT_SPLITS[cfg.fit_split]
-    recs, raw, n_dropped, _ = _labelled(scores_path, manifest_path, cfg, splits)
+    recs, raw, truth, n_dropped, _ = _labelled(scores_path, manifest_path, cfg, splits)
     if not (recs or n_dropped):
         raise PipelineError(f"no trials in split(s) {splits} to fit on")
-    truth = np.array([r.correctness for r in recs])
-    params = calib.fit_logistic(zip(raw, truth))
-    fit_rmse = calib.rmse(calib.logistic(raw, params), truth)
+    with _naming(scores_path):
+        params = calib.fit_logistic(zip(raw, truth))
+        fit_rmse = calib.rmse(calib.logistic(raw, params), truth)
     reps.write_json(params_path, {"a": params.a, "b": params.b, "fit_rmse": fit_rmse,
                                   "n_dev": len(recs), "n_dropped": n_dropped})
     return params
@@ -490,26 +499,28 @@ def run_eval(scores_path, manifest_path, params_path, out_dir,
         if not math.isfinite(value):
             raise reps.FormatError(f"{params_path}: {key!r} {value} is not finite")
     params = calib.LogisticParams(a=params_raw["a"], b=params_raw["b"])
-    rows, raw, n_dropped, level = _labelled(scores_path, manifest_path, cfg, ("eval",))
+    rows, raw, truth, n_dropped, level = _labelled(scores_path, manifest_path, cfg, ("eval",))
     if not (rows or n_dropped):
         raise PipelineError("eval split is empty")
     if not rows:
         raise PipelineError(f"none of the {n_dropped} eval trials is labelled")
 
-    truth = np.array([r.correctness for r in rows])
-    mapped = calib.logistic(raw, params)
-    report = {
-        "level": level,
-        "params": {"a": params.a, "b": params.b},
-        "trial": {**calib.metrics(mapped, truth, kt_scores=raw),
-                  "n_trials": len(rows), "grouping": "trial"},
+    with _naming(scores_path):
+        mapped = calib.logistic(raw, params)
+        trial = {"rmse": calib.rmse(mapped, truth), "ncc": calib.ncc(mapped, truth)}
         # raw-score metrics labelled separately: no logistic mapping applied
-        "trial_raw": calib.metrics(raw, truth),
-        "n_dropped": n_dropped,
-    }
-    for by in GROUPINGS:
-        ids = [getattr(r, f"{by}_id") for r in rows]
-        report[by] = {**calib.group_aggregate(ids, mapped, truth), "grouping": by}
+        trial_raw = calib.metrics(raw, truth)
+        report = {
+            "level": level,
+            "params": {"a": params.a, "b": params.b},
+            # the monotone logistic map keeps every rank: tau is the raw scores' tau
+            "trial": {**trial, "kt": trial_raw["kt"], "n_trials": len(rows), "grouping": "trial"},
+            "trial_raw": trial_raw,
+            "n_dropped": n_dropped,
+        }
+        for by in GROUPINGS:
+            ids = [getattr(r, f"{by}_id") for r in rows]
+            report[by] = {**calib.group_aggregate(ids, mapped, truth), "grouping": by}
     out = Path(out_dir)
     reps.write_json(out / "report.json", report)
     for by in GROUPINGS:

@@ -135,34 +135,29 @@ def path_cost(A: np.ndarray, B: np.ndarray, path: WarpPath) -> float:
     return float(sum(C[i, j] for i, j in path.pairs))
 
 
-# the predecessor steps a cell may come from, in tie-break order
-_STEPS = ((1, 1), (1, 0), (0, 1))
-
-
 def _dtw_window(A: np.ndarray, B: np.ndarray, allowed: np.ndarray | None) -> tuple:
-    """DP over the cells a boolean (T1, T2) mask allows (None = full matrix);
-    each cell comes from its cheapest predecessor, the first in _STEPS on a tie.
+    """DP over the cells a boolean (T1, T2) mask allows (None = full matrix)
+    on a (T1+1, T2+1) table, infinite on its border but D[0, 0] = 0 (Sakoe &
+    Chiba, IEEE TASSP 26(1), 1978); the path backtracks to each cell's
+    cheapest predecessor, the first of diagonal, up and left on a tie.
     Returns the path, the (T1, T2) cosine matrix V whose cost is 1 - V, and
     V's zero-norm mask."""
     t1, t2 = A.shape[0], B.shape[0]
     V, zero = _cosine_rows(A[:, None], B[None])
     C = 1.0 - V
-    D = np.full((t1, t2), np.inf)
+    D = np.full((t1 + 1, t2 + 1), np.inf)
+    D[0, 0] = 0.0
     for i in range(t1):
         for j in range(t2):
-            if allowed is not None and not allowed[i, j]:
-                continue
-            best = 0.0 if i == j == 0 else np.inf
-            for di, dj in _STEPS:
-                if i >= di and j >= dj and (d := D[i - di, j - dj]) < best:
-                    best = d
-            D[i, j] = C[i, j] + best
-    if not np.isfinite(D[t1 - 1, t2 - 1]):
+            if allowed is None or allowed[i, j]:
+                D[i + 1, j + 1] = C[i, j] + min(D[i, j], D[i, j + 1], D[i + 1, j])
+    if not np.isfinite(D[t1, t2]):
         raise SimilarityError("DTW window disconnects the endpoints")
     pairs = [(t1 - 1, t2 - 1)]
     while (cell := pairs[-1]) != (0, 0):  # back to the cell's predecessor, read from D
-        pairs.append(min(((cell[0] - di, cell[1] - dj) for di, dj in _STEPS
-                          if cell[0] >= di and cell[1] >= dj), key=D.__getitem__))
+        i, j = cell
+        pairs.append(min((i - 1, j - 1), (i - 1, j), (i, j - 1),
+                         key=lambda c: D[c[0] + 1, c[1] + 1]))
     return WarpPath(pairs=tuple(reversed(pairs))), V, zero
 
 

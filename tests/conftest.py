@@ -1,6 +1,7 @@
+import wave
+
 import numpy as np
 import pytest
-from scipy.io import wavfile
 
 from hirsim.reps import BinauralRep, RepSequence
 
@@ -18,8 +19,12 @@ def make_binaural(rng, t, d, level="enc", signal_id="sig", t_right=None):
 
 
 def write_stereo_wav(path, left, right, sr=16000):
-    data = np.stack([left, right], axis=1)
-    wavfile.write(path, sr, (np.clip(data, -1, 1) * 32767).astype(np.int16))
+    data = (np.clip(np.stack([left, right], axis=1), -1, 1) * 32767).astype("<i2")
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(2)
+        w.setsampwidth(2)
+        w.setframerate(sr)
+        w.writeframes(data.tobytes())
 
 
 @pytest.fixture

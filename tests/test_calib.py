@@ -376,7 +376,7 @@ class TestKendallTau:
         want = stats.kendalltau(pred, truth).statistic
         assert abs(kendall_tau(pred, truth) - want) <= 1e-12
         assert kendall_tau(pred, pred) == 1.0
-        assert kendall_tau(np.arange(n), np.arange(n)[::-1], variant="a") == -1.0
+        assert kendall_tau(np.arange(n), np.arange(n)[::-1]) == -1.0
 
     def test_monotone_transform_invariance(self, rng):
         x = rng.normal(size=25)
@@ -386,11 +386,6 @@ class TestKendallTau:
     def test_all_tied_rejected(self):
         with pytest.raises(MetricError):
             kendall_tau([1, 1, 1], [1, 2, 3])
-
-    def test_tau_a_variant(self):
-        # no ties: tau-a equals tau-b
-        assert kendall_tau([1, 2, 3], [1, 3, 2], variant="a") == \
-            kendall_tau([1, 2, 3], [1, 3, 2])
 
 
 def aggregate(recs):

@@ -1096,6 +1096,16 @@ class TestSimFitEval:
                 (tmp_path / "labelled" / name).read_bytes()
         assert json.loads((tmp_path / "partly" / "report.json").read_text())["n_dropped"] == 2
 
+    def test_one_kendall_tau_per_eval_input(self, eval_run, tmp_path, monkeypatch):
+        # tau is invariant to the logistic map, so the trial section reuses
+        # the raw scores' tau: one each for those, the listener and the system means
+        manifest, scores, params, cfg = eval_run
+        tau, sizes = calib.kendall_tau, []
+        monkeypatch.setattr(calib, "kendall_tau", lambda p, t: sizes.append(len(p)) or tau(p, t))
+        report = pipeline.run_eval(scores, manifest, params, tmp_path, cfg)
+        assert sizes == [6, len(report["listener"]["groups"]), len(report["system"]["groups"])]
+        assert report["trial"]["kt"] == report["trial_raw"]["kt"]
+
     def test_group_csvs_hold_the_report_groups(self, eval_run, tmp_path):
         manifest, scores, params, cfg = eval_run
         pipeline.run_eval(scores, manifest, params, tmp_path, cfg)
@@ -1642,10 +1652,11 @@ class TestCli:
     MAGNITUDE_RAW = (1.0, -1.0, 1.5, 0.5, -0.5, 1.75)
     MAGNITUDE_WCS = (0.1, 0.5, 0.9, 0.3, 0.6, 0.8)
 
-    def fit_and_eval(self, tmp_path, scale):
+    def fit_and_eval(self, tmp_path, scale, params_json=None):
         """`fit` then `eval`, warnings as errors, on trials whose raw scores
-        are `scale` times MAGNITUDE_RAW; returns both exit codes and the strict
-        JSON of the params and the report, or None for a file not written."""
+        are `scale` times MAGNITUDE_RAW, `params_json` (if given) being the params
+        file before `fit`; returns both exit codes and the strict JSON of the
+        params and the report, or None for a file not written."""
         m = self_manifest(tmp_path / "d", n=1)
         (entry,) = json.loads(m.read_text())
         m.write_text(json.dumps([
@@ -1654,6 +1665,8 @@ class TestCli:
         scores = write_scores(tmp_path / "s.csv", [(f"s{i}", "L0", repr(scale * x))
                                                    for i, x in enumerate(self.MAGNITUDE_RAW)])
         params, out = tmp_path / "p.json", tmp_path / "out"
+        if params_json is not None:
+            params.write_text(json.dumps(params_json))
         base = ["--manifest", str(m)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -1696,7 +1709,26 @@ class TestCli:
         codes, params, _ = self.fit_and_eval(tmp_path, 1e-310)
         assert (codes[0], params) == (cli.EXIT_DATA, None)
         assert capsys.readouterr().err.startswith(
-            "data error: the logistic slope is beyond float range\n")
+            f"data error: {tmp_path / 's.csv'}: the logistic slope is beyond float range\n")
+
+    def test_fit_and_eval_name_the_scores_of_equal_raw_scores(self, tmp_path, capsys):
+        # six equal raw scores: no slope to fit, and no correlation to take
+        codes, params, report = self.fit_and_eval(tmp_path, 0.0, {"a": 1.0, "b": 0.0})
+        assert (codes, params["a"], report) == ((cli.EXIT_DATA, cli.EXIT_DATA), 1.0, None)
+        scores = tmp_path / "s.csv"
+        assert capsys.readouterr().err == (
+            f"data error: {scores}: raw scores are all identical; fit is degenerate\n"
+            f"data error: {scores}: zero variance in pred or truth\n")
+
+    def test_eval_prints_four_significant_digits(self, tmp_path, capsys):
+        # the raw-score RMSE of scores near 1e308 is near 1e308 itself
+        codes, _, report = self.fit_and_eval(tmp_path, 1e308)
+        assert codes == (cli.EXIT_OK, cli.EXIT_OK), capsys.readouterr().err
+        out = capsys.readouterr().out
+        shown = re.findall(r"(?:RMSE|NCC|KT) (\S+)", out)
+        assert len(shown) == 12 and max(map(len, shown)) <= 12, out
+        assert f"RMSE {report['trial_raw']['rmse']:#.4g}" in out
+        assert 1e307 < report["trial_raw"]["rmse"] < 1e309
 
     def test_config_value_types(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
