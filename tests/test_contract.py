@@ -2,8 +2,8 @@
 48 kHz, silent-right-channel and too-short clips, a trial of unknown
 correctness and a trial naming a missing file. Every stage at every level,
 strict and lenient, exits 0 or 2, never 3; an exit 2 names the stage and
-trial, or the file; and every JSON file written is strict JSON and every
-number in it and in the CSV files is finite."""
+trial, or the file; no temporary file is left behind; and every JSON file
+written is strict JSON and every number in it and in the CSV files is finite."""
 
 import csv
 import json
@@ -124,3 +124,5 @@ def test_every_stage_exits_0_or_2_and_writes_finite_artifacts(tmp_path, capsys, 
                 if path.name.startswith("scores") else range(1, len(header)))
         for row in rows:
             assert all(math.isfinite(float(row[c])) for c in cols), (path, row)
+    # every write, those of the runs that exit 2 included, renames its temporary file
+    assert not list(tmp_path.rglob("*.tmp"))

@@ -176,9 +176,17 @@ class TestHandBuiltWav:
         (_riff(_fmt(), _chunk(b"data", STEREO.tobytes()[:-2])), "data bytes do not fill"),
         (_riff(_fmt(), _chunk(b"data", b"")), "zero-length audio"),
         (_riff(_fmt(rate=0), _chunk(b"data", STEREO.tobytes())), "sample rate must be positive"),
+        (_riff(_fmt(tag=3, bits=32), _chunk(b"data", np.array([np.nan, 0.0], "<f4").tobytes())),
+         "non-finite samples"),
+        (_riff(_chunk(b"fmt ", _fmt()[8:22]), _chunk(b"data", STEREO.tobytes())),
+         "'fmt ' chunk of 14 bytes"),
+        # the subformat GUID's last byte is not KSDATAFORMAT_SUBTYPE's
+        (_riff(_fmt(subformat=1)[:-1] + b"\0", _chunk(b"data", STEREO.tobytes())),
+         "WAVE_FORMAT_EXTENSIBLE without a format-tag subformat"),
     ], ids=["short-header", "truncated-fmt", "truncated-data", "no-data", "data-before-fmt",
             "no-fmt", "rifx", "rf64", "pcm8", "pcm24", "int32", "float64", "extensible-pcm24",
-            "three-channels", "bad-block-align", "partial-frame", "empty-data", "zero-rate"])
+            "three-channels", "bad-block-align", "partial-frame", "empty-data", "zero-rate",
+            "nan-sample", "short-fmt", "extensible-guid"])
     def test_unsupported_or_broken_file_names_itself(self, tmp_path, raw, cause):
         with pytest.raises(AudioError) as e:
             self.read(tmp_path, raw)

@@ -147,27 +147,33 @@ class TestFeaturize:
         assert (res.written, res.skipped, len(res.failures)) == (0, 4, 1)
 
 
-    def test_sub_sample_hop_names_stage_and_trial(self, tmp_path, capsys):
+    def featurize_fails(self, tmp_path, capsys, feat):
+        """featurize's stderr under a config of `feat` settings, which must
+        fail trial c0 and write nothing."""
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"feat": {"window_ms": 0.01, "hop_ms": 0.01}}))
-        base = ["--config", str(cfg_path), "--manifest", str(self_manifest(tmp_path / "d")),
-                "--cache-dir", str(tmp_path / "c")]
-        assert cli.main(base + ["featurize"]) == cli.EXIT_DATA
-        assert capsys.readouterr().err == (
-            "data error: featurize failed for c0: hop_ms 0.01 is under one sample at 16000 Hz\n")
+        cfg_path.write_text(json.dumps({"feat": feat}))
+        assert cli.main(["--config", str(cfg_path), "--manifest",
+                         str(self_manifest(tmp_path / "d")), "--cache-dir", str(tmp_path / "c"),
+                         "featurize"]) == cli.EXIT_DATA
         assert list((tmp_path / "c").iterdir()) == []
+        return capsys.readouterr().err
+
+    def test_sub_sample_hop_names_stage_and_trial(self, tmp_path, capsys):
+        assert self.featurize_fails(tmp_path, capsys, {"window_ms": 0.01, "hop_ms": 0.01}) == (
+            "data error: featurize failed for c0: hop_ms 0.01 is under one sample at 16000 Hz\n")
 
     @pytest.mark.parametrize("feat", [{"window_ms": 1e308}, {"window_ms": 1e308, "hop_ms": 1e308}],
                              ids=["window", "window-and-hop"])
     def test_overflowing_window_names_stage_and_trial(self, tmp_path, capsys, feat):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"feat": feat}))
-        base = ["--config", str(cfg_path), "--manifest", str(self_manifest(tmp_path / "d")),
-                "--cache-dir", str(tmp_path / "c")]
-        assert cli.main(base + ["featurize"]) == cli.EXIT_DATA
-        assert capsys.readouterr().err == ("data error: featurize failed for c0: "
-                                           "window_ms 1e+308 overflows a sample count at 16000 Hz\n")
-        assert list((tmp_path / "c").iterdir()) == []
+        assert self.featurize_fails(tmp_path, capsys, feat) == (
+            "data error: featurize failed for c0: "
+            "window_ms 1e+308 overflows a sample count at 16000 Hz\n")
+
+    def test_empty_mel_band_names_stage_and_trial(self, tmp_path, capsys):
+        # 200 bands over a 512-point FFT leave the lowest bands without a bin
+        assert self.featurize_fails(tmp_path, capsys, {"n_mels": 200}) == (
+            "data error: featurize failed for c0: mel band 0 covers no FFT bin; "
+            "increase fft_size or reduce n_mels\n")
 
     def test_a_source_that_appears_mid_run_fails_as_unreadable(self, tmp_path, capsys,
                                                                 monkeypatch):
@@ -221,6 +227,27 @@ class TestFeaturize:
             assert (res.written, res.failures) == (2, [])
             rows = {r["signal_id"]: r["raw_score"] for r in pipeline.read_scores(scores)}
             assert abs(rows["s0"] - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("wide, cause", [
+        ("proc", "representation dimensions differ"),
+        ("ref_right", "binaural channels must share a dimension"),
+    ], ids=["proc", "ref-right"])
+    def test_hrep_sources_of_unequal_dimensions_fail_sim(self, tmp_path, capsys, rng, wide, cause):
+        # 40 columns in every slot but `wide`'s, which has 80
+        for name, d in (("narrow", 40), ("wide", 80)):
+            reps.write_reps(reps.RepSequence(rng.normal(size=(24, d)), "input", "left", name),
+                            tmp_path / f"{name}.hrep")
+        slots = {k: "wide.hrep" if k.startswith(wide) else "narrow.hrep"
+                 for k in ("ref_left", "ref_right", "proc_left", "proc_right")}
+        m = tmp_path / "manifest.json"
+        m.write_text(json.dumps([{"signal_id": "s", "listener_id": "L0", "system_id": "hrep",
+                                  "correctness": 0.5, "split": "eval", **slots}]))
+        base = ["--manifest", str(m), "--cache-dir", str(tmp_path / "c")]
+        assert cli.main(base + ["featurize"]) == cli.EXIT_OK
+        capsys.readouterr()
+        sim_argv = ["--level", "input", "sim", "--scores", str(tmp_path / "scores.csv")]
+        assert cli.main(base + sim_argv) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: sim failed for s: {cause}\n"
 
 
 def clip_trials(audio, n_samples, prefix):
@@ -830,7 +857,57 @@ class TestScoreStore:
         assert scores.read_bytes() == (tmp_path / "clean.csv").read_bytes()
 
 
+def reference_score(chans, level, radius):
+    """A trial's (raw_score as scores.csv writes it, zero_norm_frames) from its
+    ref-left, ref-right, proc-left and proc-right representations: at dec the
+    max over the channel pairings of `sim.warped_sim` on `sim.dtw_path_fast`'s
+    path, elsewhere the framewise cosines over all frames at once."""
+    ref, proc = chans[:2], chans[2:]
+    if level == "dec":
+        pairs = [sim.warped_sim(a, b, sim.dtw_path_fast(a, b, radius)) for a in ref for b in proc]
+        return f"{max(v for v, _ in pairs):.12g}", sum(z for _, z in pairs)
+    T = min(ref[0].n_frames, proc[0].n_frames)
+    A, B = (np.stack([c.data[:T] for c in side]).astype(np.float64) for side in (ref, proc))
+    A, B = A[:, None], B[None]  # (ref channel, proc channel, frame, dim)
+    na, nb = np.linalg.norm(A, axis=-1), np.linalg.norm(B, axis=-1)
+    zero = (na < sim.ZERO_NORM_EPS) | (nb < sim.ZERO_NORM_EPS)
+    vals = np.where(zero, 0.0, np.einsum("...d,...d->...", A, B) / np.where(zero, 1.0, na * nb))
+    return f"{vals.max(axis=(0, 1)).mean():.12g}", int(zero.sum())
+
+
 class TestSimFitEval:
+    @pytest.fixture(scope="class")
+    def forwarded(self, dataset, tmp_path_factory):
+        """The dataset, whose references each serve two trials, featurized
+        and forwarded."""
+        _, manifest = dataset
+        cache = tmp_path_factory.mktemp("forwarded")
+        pipeline.run_featurize(manifest, cache, PipelineConfig())
+        pipeline.run_forward(manifest, cache, PipelineConfig())
+        return manifest, cache
+
+    @pytest.mark.parametrize("level", reps.LEVELS)
+    def test_scores_match_the_reference_formulas(self, forwarded, tmp_path, level):
+        manifest, cache = forwarded
+        cfg = PipelineConfig(level=level)
+        scores = tmp_path / "scores.csv"
+        pipeline.run_sim(manifest, cache, scores, cfg)
+        records = reps.load_manifest(manifest)
+        sources, slots = pipeline._sources(records, manifest, cfg)
+        want = {(rec.signal_id, rec.listener_id): reference_score(
+                    [reps.read_reps(pipeline._cached(cache, sources[i], level)) for i in slot],
+                    level, cfg.dtw_radius)
+                for rec, slot in zip(records, slots)}
+        with scores.open(newline="") as f:
+            got = {(r["signal_id"], r["listener_id"]): (r["raw_score"], int(r["zero_norm_frames"]))
+                   for r in csv.DictReader(f)}
+        assert got == want
+        if level == "dec":
+            # decoder sequences this short are aligned exactly at any radius
+            exact = tmp_path / "radius0.csv"
+            pipeline.run_sim(manifest, cache, exact, PipelineConfig(level=level, dtw_radius=0))
+            assert exact.read_bytes() == scores.read_bytes()
+
     def test_a_signal_id_starting_with_a_hash_is_fitted_and_evaluated(self, dataset, tmp_path):
         # no line after the header of scores.csv is a comment, so a trial
         # named "#..." counts
@@ -1038,6 +1115,13 @@ class TestSimFitEval:
         assert set(params) == {"a", "b", "fit_rmse", "n_dev", "n_dropped"}
         assert np.isfinite(params["a"]) and np.isfinite(params["b"])
         assert (params["n_dev"], params["n_dropped"]) == (4, 0)
+        # train_all fits on the train and dev trials: the same four, one moved to train
+        next(e for e in entries if e["split"] == "dev")["split"] = "train"
+        poisoned.write_text(json.dumps(entries))
+        train_all = tmp_path / "train_all.json"
+        pipeline.run_fit(scores, poisoned, train_all, PipelineConfig(level="enc",
+                                                                     fit_split="train_all"))
+        assert train_all.read_bytes() == params_path.read_bytes()
 
     def test_eval_reports(self, dataset, tmp_path):
         root, manifest = dataset
@@ -1317,6 +1401,14 @@ class TestCli:
             cli.main(["sim", "--level", "bogus"])
         assert e.value.code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("radius", ["abc", "-3"])
+    def test_a_bad_dtw_radius_flag_is_usage_error(self, capsys, radius):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["--dtw-radius", radius, "featurize"])
+        assert e.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --dtw-radius: expected a non-negative integer, got {radius!r}\n")
+
     def test_unknown_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:
             cli.main(["bogus"])
@@ -1535,9 +1627,11 @@ class TestCli:
         ({"asr": {"prenet_channels": [0]}}, ": 'asr': every prenet_channels entry must be >= 1"),
         ({"asr": {"n_enc_blocks": -1}}, ": 'asr': n_enc_blocks must be >= 0"),
         ({"feat": {"hop_ms": 0}}, ": 'feat': hop_ms must be positive"),
+        ({"dtw_radius": -1}, ": dtw_radius must be >= 0"),
+        ({"fit_split": "nope"}, ": unknown fit_split 'nope'"),
     ], ids=["level", "asr-d-model", "feat-n-mels", "asr-zero-heads", "asr-negative-heads",
             "asr-zero-d-model", "asr-zero-decode-len", "asr-zero-prenet-channel",
-            "asr-negative-enc-blocks", "feat-zero-hop"])
+            "asr-negative-enc-blocks", "feat-zero-hop", "negative-radius", "fit-split"])
     def test_invalid_config_value_names_the_config(self, tmp_path, capsys, config, cause):
         # an empty manifest: the config is rejected before any work
         cfg_path, m = tmp_path / "cfg.json", tmp_path / "manifest.json"
@@ -1684,8 +1778,11 @@ class TestCli:
     def test_fit_on_huge_raw_scores(self, tmp_path, capsys, scale):
         # fit and eval take the scores at a power of two that brings them
         # within 2^64, so the slope is the unscaled one divided by `scale`
-        codes, params, report = self.fit_and_eval(tmp_path, scale)
+        codes, params, report = self.fit_and_eval(tmp_path / "scaled", scale)
         assert codes == (cli.EXIT_OK, cli.EXIT_OK), capsys.readouterr().err
+        _, unscaled, _ = self.fit_and_eval(tmp_path / "unscaled", 1.0)
+        assert math.isclose(params["a"] * scale, unscaled["a"], rel_tol=1e-12)
+        assert math.isclose(params["b"], unscaled["b"], rel_tol=1e-12)
         assert math.isclose(params["a"] * scale, -8.78889544126910, rel_tol=1e-9)
         assert math.isclose(params["b"], 10.9861192219181, rel_tol=1e-9)
         assert math.isclose(params["fit_rmse"], 0.5 / math.sqrt(3.0), rel_tol=1e-6)
@@ -1766,20 +1863,25 @@ class TestCli:
                              check=True, env={**os.environ, "PYTHONPATH": src}).stdout
         assert out == "[]\n"
 
-    def test_smoke_script_runs_every_stage_without_scipy(self):
-        # tests/cli_smoke.py is the numpy-only CI job's end-to-end check
-        code = ("import runpy, sys\n"
+    def test_every_stage_runs_without_scipy(self, tmp_path):
+        # the golden run, featurize and forward then sim, fit and eval at
+        # every level, in a process where importing scipy fails
+        code = ("import sys\n"
+                "from pathlib import Path\n"
                 "class NoScipy:\n"
                 "    def find_spec(self, name, path=None, target=None):\n"
                 "        if name.split('.')[0] == 'scipy':\n"
                 "            raise ImportError(f'no module named {name!r}')\n"
                 "sys.meta_path.insert(0, NoScipy())\n"
-                "runpy.run_path(sys.argv[1], run_name='__main__')\n")
-        src, script = str(Path(pipeline.__file__).parents[1]), Path(__file__).with_name("cli_smoke.py")
-        run = subprocess.run([sys.executable, "-c", code, str(script)], capture_output=True,
-                             text=True, env={**os.environ, "PYTHONPATH": src})
+                "import test_golden\n"
+                "test_golden.golden_values(Path(sys.argv[1]))\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src, tests = Path(pipeline.__file__).parents[1], Path(__file__).parent
+        run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
+                              str(tmp_path)], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{tests}"})
         assert run.returncode == 0, run.stderr
-        assert run.stdout.count("level: dec") == 2
+        assert run.stdout == "[]\n"
 
     def test_flags_override_the_config_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
