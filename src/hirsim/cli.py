@@ -26,16 +26,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="hirsim",
                 description="Intelligibility prediction from hidden-representation similarity")
@@ -43,7 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default="cache", help="representation cache directory")
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--level", choices=list(reps.LEVELS), help="representation level")
-    p.add_argument("--dtw-radius", type=_non_negative_int, help="fast-DTW corridor radius")
     p.add_argument("--fit-split", choices=list(pipeline.FIT_SPLITS),
                    help="split the logistic mapping is fitted on")
     p.add_argument("--wcs-percent", action="store_true", default=None,
@@ -72,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # PipelineConfig fields a global flag of the same name overrides when given
-_CONFIG_FLAGS = ("level", "dtw_radius", "fit_split", "wcs_percent", "lenient")
+_CONFIG_FLAGS = ("level", "fit_split", "wcs_percent", "lenient")
 
 
 def _make_config(args) -> pipeline.PipelineConfig:

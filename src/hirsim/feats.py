@@ -72,6 +72,8 @@ class FeatConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.fmin_hz < 0:
+            raise ValueError("fmin_hz must be >= 0")
         if self.n_mels <= 0:
             raise ValueError("n_mels must be positive")
         if self.hop_ms <= 0:

@@ -1,11 +1,11 @@
 """End-to-end pipeline stages: featurize -> forward -> sim -> fit -> eval.
 
 Representations are cached as <cache>/<key>.<level>.hrep, keyed by a content
-hash of the source bytes, channel and config, and the scores of a sim pass as
-JSON in <cache>/<key>.<level>.sim.json, keyed by those of its sources: reruns
-are idempotent, config changes invalidate downstream files, and a source
-shared by many trials is computed once. All stages are deterministic, down to
-the output bytes.
+hash of the cache version, source bytes, channel and config, and the scores of
+a sim pass as JSON in <cache>/<key>.<level>.sim.json, keyed by those of its
+sources: reruns are idempotent, config changes invalidate downstream files,
+and a source shared by many trials is computed once. All stages are
+deterministic, down to the output bytes.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class PipelineConfig:
     feat: feats.FeatConfig = field(default_factory=feats.FeatConfig)
     asr: asr.ToyAsrConfig = field(default_factory=asr.ToyAsrConfig)
     level: str = "dec"
-    dtw_radius: int = sim.DEFAULT_RADIUS
     fit_split: str = "dev"
     wcs_percent: bool = False
     lenient: bool = False
@@ -54,8 +53,6 @@ class PipelineConfig:
             raise ValueError(f"unknown level {self.level!r}")
         if self.fit_split not in FIT_SPLITS:
             raise ValueError(f"unknown fit_split {self.fit_split!r}")
-        if self.dtw_radius < 0:
-            raise ValueError("dtw_radius must be >= 0")
 
 
 def _from_json(raw, cls, where: str):
@@ -108,14 +105,21 @@ def _trial(result: StageResult, cfg: PipelineConfig, stage: str, signal_id: str)
             raise PipelineError(f"{stage} failed for {signal_id}: {e}") from e
 
 
+# the version of everything the cache holds, hashed into every input key and
+# so into every key derived from it. A change that alters the bytes of any
+# cached file bumps it, so files of another version are never read.
+CACHE_VERSION = b"1"
+
+
 def _sources(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig):
     """The distinct inputs of `records`, and each trial's place among them.
 
     `sources` lists (first trial's signal_id, keys, path, channel) once per
     distinct (file digest, channel), and once per unreadable source file,
     whose keys are the OSError that reading it raised. The keys map each level
-    to its key: at input sha256(sha256(file bytes) || repr(cfg.feat) ||
-    channel), and at every model level sha256(input key || repr(cfg.asr)).
+    to its key: at input sha256(CACHE_VERSION || sha256(file bytes) ||
+    repr(cfg.feat) || channel), and at every model level sha256(input key ||
+    repr(cfg.asr)).
     Each manifest name is resolved and its file hashed once, so a file named
     two ways (`a.wav` and `./a.wav`) is read twice. `slots[i]` holds trial
     i's ref-left, ref-right, proc-left and proc-right sources as indices into
@@ -138,7 +142,8 @@ def _sources(records: list[reps.TrialRecord], manifest_path, cfg: PipelineConfig
             at = path if isinstance(d, OSError) else (d, channel)  # one error per file
             if at not in index:
                 index[at] = len(sources)
-                key = d if isinstance(d, OSError) else _hash(d, feat, channel.encode())
+                key = (d if isinstance(d, OSError) else
+                       _hash(CACHE_VERSION, d, feat, channel.encode()))
                 keys = key if isinstance(key, OSError) else {
                     "input": key, **dict.fromkeys(MODEL_LEVELS, _hash(key.encode(), model))}
                 sources.append((rec.signal_id, keys, path, channel))
@@ -157,7 +162,9 @@ def _cached(cache: Path, source: tuple, level: str) -> Path:
     OSError of an unreadable source file, or PipelineError if never computed."""
     _, keys, path, channel = source
     if isinstance(keys, OSError):
-        raise keys
+        # the one stored error, raised for every trial that names the file:
+        # without a fresh traceback each raise would add its frames to it
+        raise keys.with_traceback(None)
     rep = _rep_path(cache, keys, level)
     if not rep.exists():
         raise PipelineError(f"missing {level} representation of {path} ({channel})")
@@ -311,18 +318,15 @@ SCORE_FIELDS = ("signal_id", "listener_id", "system_id", "level",
                 "raw_score", "zero_norm_frames")
 
 
-def _score_store(cache: Path, sources: list, tuples: list, cfg: PipelineConfig):
+def _score_store(cache: Path, sources: list, tuples: list, level: str):
     """<cache>/<key>.<level>.sim.json, the stored scores of `tuples`, the distinct
     tuples of four sources in the order the trials meet them, or None if a
     source cannot be read. The key is sha256 over each tuple's level keys
-    (fixed-width hex), the level and, at dec, the only level that reads it,
-    the DTW radius."""
+    (fixed-width hex) and the level."""
     if any(isinstance(keys, OSError) for _, keys, _, _ in sources):
         return None
-    radius = str(cfg.dtw_radius).encode() if cfg.level == "dec" else b""
-    key = _hash(*(sources[i][1][cfg.level].encode() for t in tuples for i in t),
-                cfg.level.encode(), radius)
-    return cache / f"{key}.{cfg.level}.sim.json"
+    key = _hash(*(sources[i][1][level].encode() for t in tuples for i in t), level.encode())
+    return cache / f"{key}.{level}.sim.json"
 
 
 def _stored(path: Path, level: str, n: int) -> list[sim.SimilarityScore]:
@@ -368,7 +372,7 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
     held: dict[int, reps.RepSequence] = {}
     scored: dict[tuple, sim.SimilarityScore] = {}
     tuples = list(dict.fromkeys(slots))  # distinct, in the order the trials meet them
-    store = _score_store(cache, sources, tuples, cfg)
+    store = _score_store(cache, sources, tuples, cfg.level)
     if store is not None and store.exists():
         scored = dict(zip(tuples, _stored(store, cfg.level, len(tuples))))
         result.skipped = len(records)
@@ -380,8 +384,7 @@ def run_sim(manifest_path, cache_dir, scores_path, cfg: PipelineConfig) -> Stage
 
     def score(slot):
         chans = [load(i) for i in slot]
-        return sim.binaural_similarity(reps.BinauralRep(*chans[:2]),
-                                       reps.BinauralRep(*chans[2:]), cfg.dtw_radius)
+        return sim.binaural_similarity(reps.BinauralRep(*chans[:2]), reps.BinauralRep(*chans[2:]))
 
     for n, (rec, slot) in enumerate(zip(records, slots)):
         with _trial(result, cfg, "sim", rec.signal_id):

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import gc
+import itertools
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import signal
 import struct
 import subprocess
 import sys
+import traceback
 import warnings
 import weakref
 from pathlib import Path
@@ -624,6 +626,29 @@ class TestUnreadableSource:
         res = pipeline.run_sim(m, cache, scores, PipelineConfig(level=level, lenient=True))
         assert (res.written, res.skipped, res.failures) == (23, 0, [("s01n1", cause)])
 
+    def test_a_lenient_sim_keeps_one_short_traceback(self, tmp_path, monkeypatch):
+        # every trial names one missing reference, whose OSError _sources
+        # stores once and sim raises once per trial
+        (tmp_path / "proc.wav").write_bytes(b"x")
+        tables, sources = [], pipeline._sources
+        monkeypatch.setattr(pipeline, "_sources",
+                            lambda *a: tables.append(sources(*a)) or tables[-1])
+
+        def traceback_length(n):
+            m = tmp_path / f"manifest{n}.json"
+            m.write_text(json.dumps([{
+                "signal_id": f"s{i}", "listener_id": "L", "system_id": "sys", "correctness": 1.0,
+                "ref_left": "gone.wav", "ref_right": "gone.wav",
+                "proc_left": "proc.wav", "proc_right": "proc.wav", "split": "dev",
+            } for i in range(n)]))
+            res = pipeline.run_sim(m, tmp_path / "cache", tmp_path / "scores.csv",
+                                   PipelineConfig(level="input", lenient=True))
+            assert len(res.failures) == n
+            [error] = [keys for _, keys, _, _ in tables[-1][0] if isinstance(keys, OSError)]
+            return len(list(traceback.walk_tb(error.__traceback__)))
+
+        assert traceback_length(10) == traceback_length(200)
+
     def test_sim_names_a_representation_never_computed(self, tmp_path):
         m = self_manifest(tmp_path / "d")
         pipeline.run_featurize(m, tmp_path / "c", PipelineConfig())
@@ -718,10 +743,9 @@ class TestScoreStore:
 
     @pytest.mark.parametrize("cfg, rewrite", [
         (PipelineConfig(level="pre"), False),
-        (PipelineConfig(level="dec", dtw_radius=3), False),
         (PipelineConfig(level="dec"), True),
         (PipelineConfig(level="dec", asr=asr.ToyAsrConfig(seed_tag=1)), False),
-    ], ids=["level", "dtw-radius", "source-bytes", "asr-config"])
+    ], ids=["level", "source-bytes", "asr-config"])
     def test_a_changed_input_misses_the_store(self, filled, tmp_path, monkeypatch, cfg, rewrite):
         m, cache = filled
         pipeline.run_sim(m, cache, tmp_path / "first.csv", PipelineConfig(level="dec"))
@@ -735,18 +759,6 @@ class TestScoreStore:
         assert res.skipped == 0 and n_read > 0 and n_scored > 0
         assert ({p.name.split(".")[0] for p in cache.glob("*.sim.json")}
                 - {stored.name.split(".")[0]})
-
-    @pytest.mark.parametrize("level", ["input", "pre", "enc"])
-    def test_the_dtw_radius_keys_only_the_dec_store(self, filled, tmp_path, monkeypatch, level):
-        # only dec scores read the radius
-        m, cache = filled
-        pipeline.run_sim(m, cache, tmp_path / "first.csv", PipelineConfig(level=level))
-        [stored] = cache.glob("*.sim.json")
-        res, n_read, n_scored = counted_sim(monkeypatch, m, cache, tmp_path / "second.csv",
-                                            PipelineConfig(level=level, dtw_radius=3))
-        assert (res.skipped, n_read, n_scored) == (3, 0, 0)
-        assert list(cache.glob("*.sim.json")) == [stored]
-        assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
     def test_a_lenient_run_with_a_failure_stores_nothing(self, tmp_path):
         m = self_manifest(tmp_path / "d")
@@ -857,6 +869,75 @@ class TestScoreStore:
         assert scores.read_bytes() == (tmp_path / "clean.csv").read_bytes()
 
 
+def cli_stages(manifest, cache, scores):
+    """The argument lists of featurize, forward and sim at every level, in that
+    order; sim at level lv writes <scores>_<lv>.csv."""
+    base = ["--manifest", str(manifest), "--cache-dir", str(cache)]
+    return [base + ["featurize"], base + ["forward"]] + [
+        base + ["--level", lv, "sim", "--scores", f"{scores}_{lv}.csv"] for lv in reps.LEVELS]
+
+
+def file_bytes(root, pattern="*"):
+    """{path relative to root: bytes} of the files under root matching pattern."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob(pattern) if p.is_file()}
+
+
+class TestSharedCache:
+    """The cache under a new cache version, and under two processes at once."""
+
+    def test_a_new_cache_version_renames_every_file_and_keeps_its_bytes(self, tmp_path,
+                                                                         monkeypatch):
+        m, cache = build_smoke_dataset(tmp_path / "d", n_signals=2), tmp_path / "cache"
+
+        def run_stages(scores):
+            results = [pipeline.run_featurize(m, cache, PipelineConfig()),
+                       pipeline.run_forward(m, cache, PipelineConfig())]
+            results += [pipeline.run_sim(m, cache, f"{scores}_{lv}.csv", PipelineConfig(level=lv))
+                        for lv in reps.LEVELS]
+            return [(r.written, r.skipped, r.failures) for r in results]
+
+        first = run_stages(tmp_path / "old")
+        old = file_bytes(cache)
+        monkeypatch.setattr(pipeline, "CACHE_VERSION", b"2")
+        assert run_stages(tmp_path / "new") == first
+        assert all(skipped == 0 for _, skipped, _ in first)
+        new = {p: b for p, b in file_bytes(cache).items() if p not in old}
+        assert len(new) == len(old)
+
+        def by_suffix(files):
+            return sorted((p.name.split(".", 1)[1], b) for p, b in files.items())
+
+        assert by_suffix(new) == by_suffix(old)
+        for lv in reps.LEVELS:
+            new_csv, old_csv = (tmp_path / f"{run}_{lv}.csv" for run in ("new", "old"))
+            assert new_csv.read_bytes() == old_csv.read_bytes()
+
+    def test_two_processes_on_one_cache_write_one_runs_bytes(self, tmp_path):
+        m = build_smoke_dataset(tmp_path / "d", n_signals=2)
+        for argv in cli_stages(m, tmp_path / "alone", tmp_path / "alone"):
+            assert cli.main(argv) == cli.EXIT_OK
+        code = ("import json, sys\n"
+                "from hirsim import cli\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    rc = cli.main(argv)\n"
+                "    if rc:\n"
+                "        sys.exit(rc)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+        runs = [subprocess.Popen(
+                    [sys.executable, "-c", code,
+                     json.dumps(cli_stages(m, tmp_path / "shared", tmp_path / f"p{i}"))],
+                    env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                for i in range(2)]
+        for run in runs:
+            _, err = run.communicate(timeout=300)
+            assert run.returncode == 0, err
+        assert file_bytes(tmp_path / "shared") == file_bytes(tmp_path / "alone")
+        for i, lv in itertools.product(range(2), reps.LEVELS):
+            assert (tmp_path / f"p{i}_{lv}.csv").read_bytes() == \
+                (tmp_path / f"alone_{lv}.csv").read_bytes()
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
 def reference_score(chans, level, radius):
     """A trial's (raw_score as scores.csv writes it, zero_norm_frames) from its
     ref-left, ref-right, proc-left and proc-right representations: at dec the
@@ -894,19 +975,16 @@ class TestSimFitEval:
         pipeline.run_sim(manifest, cache, scores, cfg)
         records = reps.load_manifest(manifest)
         sources, slots = pipeline._sources(records, manifest, cfg)
-        want = {(rec.signal_id, rec.listener_id): reference_score(
-                    [reps.read_reps(pipeline._cached(cache, sources[i], level)) for i in slot],
-                    level, cfg.dtw_radius)
-                for rec, slot in zip(records, slots)}
+        chans = {(rec.signal_id, rec.listener_id):
+                 [reps.read_reps(pipeline._cached(cache, sources[i], level)) for i in slot]
+                 for rec, slot in zip(records, slots)}
         with scores.open(newline="") as f:
             got = {(r["signal_id"], r["listener_id"]): (r["raw_score"], int(r["zero_norm_frames"]))
                    for r in csv.DictReader(f)}
-        assert got == want
-        if level == "dec":
-            # decoder sequences this short are aligned exactly at any radius
-            exact = tmp_path / "radius0.csv"
-            pipeline.run_sim(manifest, cache, exact, PipelineConfig(level=level, dtw_radius=0))
-            assert exact.read_bytes() == scores.read_bytes()
+        # decoder sequences no longer than sim.MIN_COARSEN_SIZE are aligned
+        # exactly, so radius 0 scores what the default radius does
+        for radius in (sim.DEFAULT_RADIUS, 0) if level == "dec" else (sim.DEFAULT_RADIUS,):
+            assert got == {k: reference_score(c, level, radius) for k, c in chans.items()}
 
     def test_a_signal_id_starting_with_a_hash_is_fitted_and_evaluated(self, dataset, tmp_path):
         # no line after the header of scores.csv is a comment, so a trial
@@ -1020,12 +1098,12 @@ class TestSimFitEval:
             read.append((path, weakref.ref(rep)))
             return rep
 
-        def checking_similarity(ref, proc, radius):
+        def checking_similarity(ref, proc):
             gc.collect()
             alive.append({p for p, r in read if r() is not None})
             current.append({p for p, r in read
                             if any(r() is x for x in (ref.left, ref.right, proc.left, proc.right))})
-            return similarity(ref, proc, radius)
+            return similarity(ref, proc)
 
         monkeypatch.setattr(reps, "read_reps", recording_read)
         monkeypatch.setattr(sim, "binaural_similarity", checking_similarity)
@@ -1403,11 +1481,13 @@ class TestCli:
 
     @pytest.mark.parametrize("radius", ["abc", "-3"])
     def test_a_bad_dtw_radius_flag_is_usage_error(self, capsys, radius):
+        # the DTW radius is no setting, so the flag is refused whatever its value
         with pytest.raises(SystemExit) as e:
             cli.main(["--dtw-radius", radius, "featurize"])
         assert e.value.code == cli.EXIT_USAGE
-        assert capsys.readouterr().err.endswith(
-            f"error: argument --dtw-radius: expected a non-negative integer, got {radius!r}\n")
+        err = capsys.readouterr().err
+        assert "error: " in err
+        assert "--dtw-radius" not in err.split("error: ")[0]
 
     def test_unknown_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -1603,9 +1683,9 @@ class TestCli:
         ({"feat": {"nmels": 40}}, "'feat' has unknown key 'nmels'"),
         ({"levle": "enc"}, "has unknown key 'levle'"),
         ([1], "must be a JSON object"),
-        ({"dtw_radius": "5"}, ": 'dtw_radius' must be int"),
+        ({"lenient": "yes"}, ": 'lenient' must be bool"),
         ({"feat": {"n_mels": "40"}}, ": 'feat': 'n_mels' must be int"),
-    ], ids=["nested-key", "top-level-key", "not-an-object", "str-radius", "nested-str-n-mels"])
+    ], ids=["nested-key", "top-level-key", "not-an-object", "str-lenient", "nested-str-n-mels"])
     def test_malformed_config_is_data_error(self, tmp_path, capsys, config, cause):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
@@ -1627,11 +1707,15 @@ class TestCli:
         ({"asr": {"prenet_channels": [0]}}, ": 'asr': every prenet_channels entry must be >= 1"),
         ({"asr": {"n_enc_blocks": -1}}, ": 'asr': n_enc_blocks must be >= 0"),
         ({"feat": {"hop_ms": 0}}, ": 'feat': hop_ms must be positive"),
-        ({"dtw_radius": -1}, ": dtw_radius must be >= 0"),
+        ({"feat": {"fmin_hz": -200}}, ": 'feat': fmin_hz must be >= 0"),
+        ({"feat": {"fmin_hz": -1000}}, ": 'feat': fmin_hz must be >= 0"),
+        # the DTW radius is no setting, so a config that sets one is refused
+        ({"dtw_radius": -1}, " has unknown key 'dtw_radius'"),
         ({"fit_split": "nope"}, ": unknown fit_split 'nope'"),
     ], ids=["level", "asr-d-model", "feat-n-mels", "asr-zero-heads", "asr-negative-heads",
             "asr-zero-d-model", "asr-zero-decode-len", "asr-zero-prenet-channel",
-            "asr-negative-enc-blocks", "feat-zero-hop", "negative-radius", "fit-split"])
+            "asr-negative-enc-blocks", "feat-zero-hop", "fmin-negative-200", "fmin-negative-1000",
+            "negative-radius", "fit-split"])
     def test_invalid_config_value_names_the_config(self, tmp_path, capsys, config, cause):
         # an empty manifest: the config is rejected before any work
         cfg_path, m = tmp_path / "cfg.json", tmp_path / "manifest.json"
@@ -1885,29 +1969,29 @@ class TestCli:
 
     def test_flags_override_the_config_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"dtw_radius": 5, "lenient": False,
+        cfg_path.write_text(json.dumps({"level": "enc", "lenient": False,
                                         "fit_split": "train_all"}))
 
         def config(*flags):
             args = cli.build_parser().parse_args(["--config", str(cfg_path), *flags, "featurize"])
             cfg = cli._make_config(args)
-            return cfg.dtw_radius, cfg.lenient, cfg.fit_split, cfg.wcs_percent
+            return cfg.level, cfg.lenient, cfg.fit_split, cfg.wcs_percent
 
-        # a radius of 0 is falsy, and still a given flag
-        assert config("--dtw-radius", "0", "--lenient") == (0, True, "train_all", False)
-        assert config() == (5, False, "train_all", False)
+        assert config("--level", "pre", "--fit-split", "dev", "--lenient") == (
+            "pre", True, "dev", False)
+        assert config() == ("enc", False, "train_all", False)
         # an absent store_true flag leaves a true config value alone
         cfg_path.write_text(json.dumps({"lenient": True, "wcs_percent": True}))
-        assert config() == (sim.DEFAULT_RADIUS, True, "dev", True)
+        assert config() == ("dec", True, "dev", True)
 
     def test_config_file_loading(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "feat": {"n_mels": 40}, "asr": {"seed_tag": 3, "d_model": 32},
-            "level": "enc", "dtw_radius": 5,
+            "level": "enc", "fit_split": "train_all", "lenient": True,
         }))
         cfg = pipeline.load_config(cfg_path)
         assert cfg.feat.n_mels == 40
         assert cfg.asr.seed_tag == 3
         assert cfg.level == "enc"
-        assert cfg.dtw_radius == 5
+        assert (cfg.fit_split, cfg.lenient) == ("train_all", True)
